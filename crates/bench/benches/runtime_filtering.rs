@@ -33,21 +33,34 @@ fn bench_runtime_filtering(c: &mut Criterion) {
     });
 
     // Runtime filtering: all sleds active; Score-P discards per event.
+    let run_filtered = |filter: FilterFile| {
+        let session = session_for(
+            &setup,
+            &Variant::XrayFull,
+            ToolChoice::Scorep(Default::default()),
+            2,
+        );
+        session
+            .scorep
+            .as_ref()
+            .expect("scorep configured")
+            .set_runtime_filter(filter);
+        session.run().expect("runs")
+    };
     group.bench_function("runtime-filtering", |b| {
+        b.iter(|| run_filtered(FilterFile::include_only(kernels_ic.names())))
+    });
+
+    // The same run behind an IC-sized filter: the kernels names among
+    // 5 000 literal rules, checked once per first-seen region.
+    let padding: Vec<String> = (0..5_000)
+        .map(|i| format!("_ZN4Foam7padding{i}Ev"))
+        .collect();
+    group.bench_function("runtime-filtering-5000-rules", |b| {
         b.iter(|| {
-            let session = session_for(
-                &setup,
-                &Variant::XrayFull,
-                ToolChoice::Scorep(Default::default()),
-                2,
-            );
-            let filter = FilterFile::include_only(kernels_ic.names());
-            session
-                .scorep
-                .as_ref()
-                .expect("scorep configured")
-                .set_runtime_filter(filter);
-            session.run().expect("runs")
+            run_filtered(FilterFile::include_only(
+                padding.iter().map(String::as_str).chain(kernels_ic.names()),
+            ))
         })
     });
 

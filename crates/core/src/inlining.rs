@@ -45,12 +45,11 @@ pub fn compensate_inlining(
         ..Default::default()
     };
     let mut out = selection.clone();
+    let symbols = binary.symbol_names();
+    let has_symbol = |id: NodeId| symbols.contains(graph.node(id).name.as_str());
 
     // Step 1: approximate the inlined set by missing symbols.
-    let inlined: Vec<NodeId> = selection
-        .iter()
-        .filter(|&id| !binary.has_symbol(&graph.node(id).name))
-        .collect();
+    let inlined: Vec<NodeId> = selection.iter().filter(|&id| !has_symbol(id)).collect();
 
     let mut added = graph.empty_set();
     for &node in &inlined {
@@ -63,7 +62,7 @@ pub fn compensate_inlining(
             if !visited.insert(caller) {
                 continue;
             }
-            if binary.has_symbol(&graph.node(caller).name) {
+            if has_symbol(caller) {
                 if !out.contains(caller) && !added.contains(caller) {
                     added.insert(caller);
                     report.added_names.push(graph.node(caller).name.clone());

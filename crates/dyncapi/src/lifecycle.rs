@@ -20,11 +20,11 @@
 //! * `CAPI_DLOPEN_BACKOFF_NS` — virtual backoff before the first retry,
 //!   doubled per attempt (default 1 ms of virtual time).
 
-use crate::startup::{DynCapiError, Session};
+use crate::startup::{patch_ic_selection, DynCapiError, Session};
 use crate::symres::resolve_ids;
 use capi_objmodel::{FaultKind, FaultPlan, LoadError, Object};
 use capi_obs::{CounterId, RecordKind, Telemetry, CONTROL_RANK};
-use capi_xray::{instrument_object, InstrumentedObject, TrampolineSet};
+use capi_xray::{instrument_object, TrampolineSet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -368,42 +368,21 @@ impl Session {
         self.symbols.stats.resolved += res.stats.resolved;
         self.symbols.stats.unresolved_hidden += res.stats.unresolved_hidden;
         self.symbols.stats.unresolved_static_init += res.stats.unresolved_static_init;
-        let fids = self.ic_selected_fids(oid, &inst);
         let mprotect_before = self.process.memory.stats.mprotect_calls;
-        let sleds = self
-            .runtime
-            .patch_functions(&mut self.process.memory, oid, &fids)? as u64;
+        let patch = patch_ic_selection(
+            &self.runtime,
+            &mut self.process.memory,
+            &self.config,
+            &self.symbols,
+            &[(oid, &inst)],
+        )?;
         let mprotect_calls = self.process.memory.stats.mprotect_calls - mprotect_before;
-        ns += sleds * costs.per_sled_patch_ns + mprotect_calls * costs.per_mprotect_ns;
+        ns += (patch.sleds_patched + patch.rates_set) * costs.per_sled_patch_ns
+            + mprotect_calls * costs.per_mprotect_ns;
+        self.report.rates_set += patch.rates_set;
         self.report.instrumented_functions += inst.sleds.num_functions();
         self.report.total_sleds += inst.sleds.total_sleds();
-        Ok((oid, ns, sleds))
-    }
-
-    /// The function IDs of `inst` the session's IC selects: everything
-    /// when there is no IC (`xray full`), else included names plus
-    /// IC-carried packed IDs (hidden functions stay unpatched, same
-    /// rule as startup).
-    fn ic_selected_fids(&self, oid: u8, inst: &InstrumentedObject) -> Vec<u32> {
-        let mut fids = Vec::new();
-        for entry in &inst.sleds.entries {
-            let Ok(id) = capi_xray::PackedId::pack(oid, entry.fid) else {
-                continue;
-            };
-            match &self.config.ic {
-                None => fids.push(entry.fid),
-                Some(ic) => {
-                    if self.config.ic_packed_ids.contains(&id.raw()) {
-                        fids.push(entry.fid);
-                    } else if let Some(name) = self.symbols.name_of(id) {
-                        if ic.is_included(name) {
-                            fids.push(entry.fid);
-                        }
-                    }
-                }
-            }
-        }
-        fids
+        Ok((oid, ns, patch.sleds_patched))
     }
 
     /// `dlclose`s a DSO mid-session and deregisters it from the XRay

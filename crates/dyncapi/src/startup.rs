@@ -12,13 +12,14 @@ use crate::adapters::{ScorepAdapter, TalpAdapter};
 use crate::symres::{resolve_ids, SymbolResolution, SymresStats};
 use capi_exec::{Engine, ExecError, OverheadModel, RunReport};
 use capi_mpisim::{CostModel, World};
-use capi_objmodel::{Binary, LoadError, Process};
+use capi_objmodel::{AddressSpace, Binary, LoadError, Process};
 use capi_scorep::{FilterFile, ScorepConfig, ScorepRuntime};
 use capi_talp::{Talp, TalpConfig};
 use capi_xray::{
     instrument_object, InstrumentedObject, PackedId, PassOptions, PatchDelta, TrampolineSet,
     XRayError, XRayRuntime,
 };
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -276,60 +277,20 @@ pub fn startup(binary: &Binary, config: DynCapiConfig) -> Result<Session, DynCap
             report.patched_functions = runtime.patched_functions();
         }
         Some(ic) => {
-            let mut set_rate: Vec<(PackedId, u32)> = Vec::new();
-            for (oid, inst) in &instrumented {
-                let mut fids = Vec::new();
-                for entry in &inst.sleds.entries {
-                    let Ok(id) = PackedId::pack(*oid, entry.fid) else {
-                        continue;
-                    };
-                    // §VI-B(a) future development: IDs resolved statically
-                    // and embedded in the IC are patched directly, hidden
-                    // or not.
-                    if config.ic_packed_ids.contains(&id.raw()) {
-                        fids.push(entry.fid);
-                        continue;
-                    }
-                    // Hidden symbols cannot be checked against the IC and
-                    // are left unpatched (paper §VI-B(a)).
-                    let Some(name) = symbols.name_of(id) else {
-                        continue;
-                    };
-                    if ic.is_included(name) {
-                        fids.push(entry.fid);
-                        if let Some(&(_, rate)) = config
-                            .ic_rates
-                            .iter()
-                            .find(|(n, rate)| n == name && *rate > 1)
-                        {
-                            set_rate.push((id, rate));
-                        }
-                    }
-                }
-                // One mprotect pair per object, then the selected sleds.
-                let n = runtime.patch_functions(&mut process.memory, *oid, &fids)?;
-                report.sleds_patched += n as u64;
-                report.patched_functions += fids.len();
-            }
-            // Apply IC-carried sampling rates in one batch; rate-only
-            // repatches touch no sled bytes, so no mprotect pair.
-            if !set_rate.is_empty() {
-                let rep = runtime.repatch(
-                    &mut process.memory,
-                    &PatchDelta {
-                        set_rate,
-                        ..Default::default()
-                    },
-                )?;
-                report.rates_set = rep.rates_set;
-                report.init_ns += rep.rates_set * config.init_costs.per_sled_patch_ns;
-            }
+            let patch =
+                patch_ic_selection(&runtime, &mut process.memory, &config, &symbols, &inst_refs)?;
+            report.sleds_patched += patch.sleds_patched;
+            report.patched_functions += patch.functions;
+            report.rates_set = patch.rates_set;
+            report.init_ns += patch.rates_set * config.init_costs.per_sled_patch_ns;
             // IC entries that exist nowhere in the binary: inlined away.
-            for want in ic.literal_includes() {
-                if !binary.has_symbol(want) {
-                    report.selected_missing.push(want.to_string());
-                }
-            }
+            let present = binary.symbol_names();
+            report.selected_missing = ic
+                .literal_includes()
+                .into_iter()
+                .filter(|want| !present.contains(want))
+                .map(str::to_string)
+                .collect();
         }
     }
     let mem_after = process.memory.stats;
@@ -393,6 +354,81 @@ pub fn startup(binary: &Binary, config: DynCapiConfig) -> Result<Session, DynCap
         symbols,
         config,
     })
+}
+
+/// What [`patch_ic_selection`] patched.
+#[derive(Default)]
+pub(crate) struct IcPatch {
+    /// Functions selected across the given objects.
+    pub functions: usize,
+    /// Sled rewrites performed.
+    pub sleds_patched: u64,
+    /// Functions whose sampling rate was set from the IC.
+    pub rates_set: u64,
+}
+
+/// Patches, in each of `objects`, the functions the session's IC selects
+/// and publishes the sampling rates the IC carries for them — the one
+/// definition of "what does the IC select" shared by [`startup`] and a
+/// mid-run `dlopen`. Selected are IC-carried packed IDs (§VI-B(a) future
+/// development: resolved statically, patched hidden or not) and resolved
+/// names the filter includes; hidden symbols cannot be checked against
+/// the IC and stay unpatched. Without an IC every function is selected.
+pub(crate) fn patch_ic_selection(
+    runtime: &XRayRuntime,
+    memory: &mut AddressSpace,
+    config: &DynCapiConfig,
+    symbols: &SymbolResolution,
+    objects: &[(u8, &InstrumentedObject)],
+) -> Result<IcPatch, XRayError> {
+    let packed: HashSet<u32> = config.ic_packed_ids.iter().copied().collect();
+    // The first non-trivial rate listed for a name is the one applied.
+    let mut rates: HashMap<&str, u32> = HashMap::new();
+    for (name, rate) in &config.ic_rates {
+        if *rate > 1 {
+            rates.entry(name).or_insert(*rate);
+        }
+    }
+    let mut patch = IcPatch::default();
+    let mut set_rate: Vec<(PackedId, u32)> = Vec::new();
+    for (oid, inst) in objects {
+        let mut fids = Vec::new();
+        for entry in &inst.sleds.entries {
+            let Ok(id) = PackedId::pack(*oid, entry.fid) else {
+                continue;
+            };
+            let Some(ic) = &config.ic else {
+                fids.push(entry.fid);
+                continue;
+            };
+            if packed.contains(&id.raw()) {
+                fids.push(entry.fid);
+                continue;
+            }
+            let Some(name) = symbols.name_of(id) else {
+                continue;
+            };
+            if ic.is_included(name) {
+                fids.push(entry.fid);
+                if let Some(&rate) = rates.get(name) {
+                    set_rate.push((id, rate));
+                }
+            }
+        }
+        // One mprotect pair per object, then the selected sleds.
+        patch.sleds_patched += u64::from(runtime.patch_functions(memory, *oid, &fids)?);
+        patch.functions += fids.len();
+    }
+    // Apply IC-carried sampling rates in one batch; rate-only
+    // repatches touch no sled bytes, so no mprotect pair.
+    if !set_rate.is_empty() {
+        let delta = PatchDelta {
+            set_rate,
+            ..Default::default()
+        };
+        patch.rates_set = runtime.repatch(memory, &delta)?.rates_set;
+    }
+    Ok(patch)
 }
 
 /// Result of running a session.
@@ -628,6 +664,44 @@ mod tests {
         let s = startup(&bin, cfg).unwrap();
         assert_eq!(s.report.patched_functions, 1);
         assert!(s.runtime.is_patched(hidden_id));
+    }
+
+    #[test]
+    fn reloaded_dso_gets_the_ic_selection_it_got_at_startup() {
+        let bin = binary();
+        let probe = startup(&bin, DynCapiConfig::default()).unwrap();
+        let hidden_id = probe.symbols.unresolved[0];
+        let dso_oid = hidden_id.object();
+        assert_ne!(dso_oid, 0, "the hidden function lives in the DSO");
+        // Literal names, a packed ID for the hidden function, two rates.
+        let cfg = DynCapiConfig {
+            ic: Some(FilterFile::include_only(["main", "solve", "Amul"])),
+            ic_packed_ids: vec![hidden_id.raw()],
+            ic_rates: vec![("Amul".to_string(), 4), ("solve".to_string(), 3)],
+            ..Default::default()
+        };
+        let mut s = startup(&bin, cfg).unwrap();
+        assert_eq!(s.report.rates_set, 2);
+        let dso_state = |s: &Session| -> Vec<(PackedId, u32)> {
+            s.runtime
+                .patched_ids()
+                .into_iter()
+                .filter(|id| id.object() == dso_oid)
+                .map(|id| (id, s.runtime.sample_rate(id)))
+                .collect()
+        };
+        let at_startup = dso_state(&s);
+        let mut rates: Vec<u32> = at_startup.iter().map(|&(_, r)| r).collect();
+        rates.sort_unstable();
+        assert_eq!(rates, vec![1, 3, 4], "hidden_helper, solve, Amul");
+
+        // dlclose + dlopen mid-run: same patched IDs, same rates.
+        assert_eq!(s.unload_dso("libsolver.so").unwrap(), Some(dso_oid));
+        assert!(dso_state(&s).is_empty());
+        let load = s.load_dso(Arc::new(bin.dsos[0].clone()), false);
+        assert_eq!(load.result.unwrap(), dso_oid);
+        assert_eq!(dso_state(&s), at_startup);
+        assert_eq!(s.report.rates_set, 4);
     }
 
     #[test]

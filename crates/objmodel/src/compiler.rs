@@ -495,7 +495,14 @@ mod tests {
         let mut b = ProgramBuilder::new("app");
         build(&mut b);
         let p = b.build().expect("valid test program");
-        compile(&p, &CompileOptions::o2()).expect("compiles")
+        let bin = compile(&p, &CompileOptions::o2()).expect("compiles");
+        // Every case below also pins the bulk view to the per-name scan.
+        let names = bin.symbol_names();
+        for f in p.iter_functions() {
+            let name = p.interner.resolve(f.name);
+            assert_eq!(bin.has_symbol(name), names.contains(name), "{name}");
+        }
+        bin
     }
 
     #[test]

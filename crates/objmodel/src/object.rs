@@ -3,7 +3,7 @@
 use crate::symbols::SymbolTable;
 use capi_appmodel::{FunctionKind, MpiCall, Visibility};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Executable vs. shared object.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -182,8 +182,21 @@ impl Binary {
     /// approximation CaPI's inlining compensation uses: "if a function
     /// symbol cannot be found, it has been inlined at all call sites"
     /// (paper §V-E).
+    ///
+    /// Scans every symbol table; a pass that asks about many names
+    /// builds [`Binary::symbol_names`] once instead.
     pub fn has_symbol(&self, name: &str) -> bool {
         self.objects().any(|o| o.symtab.lookup(name).is_some())
+    }
+
+    /// Every name [`Binary::has_symbol`] answers `true` for, borrowed
+    /// from the symbol tables: one pass over the symbols, then each
+    /// presence query is a hash lookup.
+    pub fn symbol_names(&self) -> HashSet<&str> {
+        self.objects()
+            .flat_map(|o| o.symtab.all())
+            .map(|s| s.name.as_str())
+            .collect()
     }
 
     /// Total emitted functions across all objects.
@@ -282,5 +295,22 @@ mod tests {
         };
         assert!(bin.has_symbol("ghost"));
         assert!(!bin.has_symbol("missing"));
+        assert_eq!(bin.symbol_names(), HashSet::from(["ghost"]));
+    }
+
+    #[test]
+    fn symbol_in_two_objects_is_one_name() {
+        // A COMDAT copy emitted in the executable and in a DSO.
+        let bin = Binary {
+            executable: object("app", vec![func("dup", 0, 64), func("main", 64, 64)]),
+            dsos: vec![object(
+                "lib.so",
+                vec![func("dup", 0, 32), func("leaf", 32, 32)],
+            )],
+        };
+        assert_eq!(bin.symbol_names(), HashSet::from(["dup", "main", "leaf"]));
+        for name in ["dup", "main", "leaf", "missing", ""] {
+            assert_eq!(bin.has_symbol(name), bin.symbol_names().contains(name));
+        }
     }
 }

@@ -16,7 +16,19 @@
 //! match no rule are included. Patterns are shell wildcards (`*`, `?`).
 //! `MANGLED` is accepted and recorded (all names in this workspace are
 //! already mangled), `#`-comments and blank lines are skipped.
+//!
+//! # Lookup cost
+//!
+//! The ordered rule list is the single source of truth; beside it the
+//! filter keeps an index derived from it (literal pattern → position of
+//! its last rule, plus the positions of the wildcard rules).
+//! [`FilterFile::is_included`] is one hash lookup plus a
+//! [`Pattern::matches`] call for each wildcard rule *newer* than the
+//! literal hit, newest first, stopping at the first match — O(1) for
+//! CaPI's canonical `EXCLUDE *` + N literal includes, whatever N is.
+//! Rule order still decides: the newest matching rule wins.
 
+use std::collections::HashMap;
 use std::fmt;
 
 /// A shell-wildcard pattern (`*` and `?`).
@@ -44,6 +56,8 @@ impl Pattern {
     /// Shell-wildcard matching (iterative with backtracking — no
     /// recursion, patterns come from user files).
     pub fn matches(&self, name: &str) -> bool {
+        #[cfg(test)]
+        tests::MATCH_CALLS.with(|c| c.set(c.get() + 1));
         let p: &[u8] = self.text.as_bytes();
         let s: &[u8] = name.as_bytes();
         let (mut pi, mut si) = (0usize, 0usize);
@@ -87,10 +101,25 @@ struct Rule {
 }
 
 /// A parsed Score-P region-names filter file.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Equality compares the ordered rule list only; the lookup index is
+/// derived from it.
+#[derive(Clone, Debug, Default)]
 pub struct FilterFile {
     rules: Vec<Rule>,
+    /// Literal pattern text → position in `rules` of its *last* rule.
+    literal_last: HashMap<String, usize>,
+    /// Positions in `rules` of the wildcard rules, ascending.
+    wildcards: Vec<usize>,
 }
+
+impl PartialEq for FilterFile {
+    fn eq(&self, other: &Self) -> bool {
+        self.rules == other.rules
+    }
+}
+
+impl Eq for FilterFile {}
 
 /// Filter parsing errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,34 +168,47 @@ impl FilterFile {
         f
     }
 
+    /// Appends a rule and indexes it — the only way rules enter the
+    /// filter, so the index can never drift from the rule list.
+    fn push_rule(&mut self, pattern: Pattern, include: bool) {
+        let pos = self.rules.len();
+        if pattern.is_literal() {
+            self.literal_last.insert(pattern.text.clone(), pos);
+        } else {
+            self.wildcards.push(pos);
+        }
+        self.rules.push(Rule { pattern, include });
+    }
+
     /// Appends an EXCLUDE rule.
     pub fn exclude(&mut self, p: Pattern) -> &mut Self {
-        self.rules.push(Rule {
-            pattern: p,
-            include: false,
-        });
+        self.push_rule(p, false);
         self
     }
 
     /// Appends an INCLUDE rule.
     pub fn include(&mut self, p: Pattern) -> &mut Self {
-        self.rules.push(Rule {
-            pattern: p,
-            include: true,
-        });
+        self.push_rule(p, true);
         self
     }
 
     /// Whether `name` is included (last matching rule wins; default
     /// include).
     pub fn is_included(&self, name: &str) -> bool {
-        let mut included = true;
-        for r in &self.rules {
-            if r.pattern.matches(name) {
-                included = r.include;
-            }
-        }
-        included
+        // A literal pattern matches exactly its own text, so the newest
+        // literal rule matching `name` is one hash lookup away.
+        let literal = self.literal_last.get(name).copied();
+        // Only a wildcard rule newer than that hit can overrule it.
+        let wildcard = self
+            .wildcards
+            .iter()
+            .rev()
+            .copied()
+            .take_while(|&w| literal.is_none_or(|l| w > l))
+            .find(|&w| self.rules[w].pattern.matches(name));
+        wildcard
+            .or(literal)
+            .is_none_or(|pos| self.rules[pos].include)
     }
 
     /// Number of rules.
@@ -200,7 +242,7 @@ impl FilterFile {
         let mut in_block = false;
         let mut saw_begin = false;
         let mut saw_end = false;
-        let mut rules = Vec::new();
+        let mut filter = Self::new();
         for (ln, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -234,10 +276,7 @@ impl FilterFile {
                 if tok == "MANGLED" {
                     continue;
                 }
-                rules.push(Rule {
-                    pattern: Pattern::new(tok),
-                    include,
-                });
+                filter.push_rule(Pattern::new(tok), include);
             }
         }
         if !saw_begin {
@@ -246,7 +285,7 @@ impl FilterFile {
         if !saw_end {
             return Err(FilterParseError::MissingEnd);
         }
-        Ok(Self { rules })
+        Ok(filter)
     }
 }
 
@@ -254,6 +293,40 @@ impl FilterFile {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`Pattern::matches`] calls made on this thread: the unit of
+        /// work the lookup-cost tests count instead of timing.
+        pub(super) static MATCH_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    impl FilterFile {
+        /// The definition of the filter's semantics, and the oracle the
+        /// indexed [`FilterFile::is_included`] is checked against: walk
+        /// every rule in order, the last match wins.
+        fn is_included_linear(&self, name: &str) -> bool {
+            let mut included = true;
+            for r in &self.rules {
+                if r.pattern.matches(name) {
+                    included = r.include;
+                }
+            }
+            included
+        }
+    }
+
+    fn from_rules(rules: &[(bool, String)]) -> FilterFile {
+        let mut f = FilterFile::new();
+        for (include, text) in rules {
+            if *include {
+                f.include(Pattern::new(text.as_str()));
+            } else {
+                f.exclude(Pattern::new(text.as_str()));
+            }
+        }
+        f
+    }
 
     #[test]
     fn wildcard_matching() {
@@ -278,6 +351,33 @@ mod tests {
         assert!(f.is_included("keep_me"));
         assert!(!f.is_included("keep_not"));
         assert!(FilterFile::new().is_included("whatever"));
+        // The same literal in both directions: the newest one decides.
+        f.include(Pattern::new("keep_not"));
+        assert!(f.is_included("keep_not"));
+        f.exclude(Pattern::new("keep_not"));
+        assert!(!f.is_included("keep_not"));
+        // A literal overruled by a newer wildcard, and the reverse.
+        f.include(Pattern::new("keep_n?t"));
+        assert!(f.is_included("keep_not"));
+        f.exclude(Pattern::new("keep_not"));
+        assert!(!f.is_included("keep_not"));
+        // Names carrying wildcard bytes are only ever matched by
+        // wildcard rules.
+        assert!(f.is_included("keep_*"));
+        assert!(!f.is_included("?"));
+    }
+
+    #[test]
+    fn lookup_work_does_not_grow_with_literal_rules() {
+        let literals: Vec<String> = (0..5_000).map(|i| format!("_ZN4Foam5fn{i}Ev")).collect();
+        let f = FilterFile::include_only(literals.iter().map(String::as_str));
+        let names: Vec<String> = (0..40_000).map(|i| format!("_ZN4Foam5fn{i}Ev")).collect();
+        MATCH_CALLS.with(|c| c.set(0));
+        let included = names.iter().filter(|n| f.is_included(n)).count();
+        let matches = MATCH_CALLS.with(Cell::get);
+        assert_eq!(included, 5_000);
+        // The linear walk made 40 000 × 5 001 of them.
+        assert!(matches <= 40_000, "{matches} pattern matches");
     }
 
     #[test]
@@ -350,6 +450,46 @@ SCOREP_REGION_NAMES_END
             prop_assert_eq!(&f, &f2);
             for n in &names {
                 prop_assert!(f2.is_included(n));
+            }
+        }
+
+        #[test]
+        fn prop_indexed_lookup_equals_linear_walk(
+            rules in proptest::collection::vec((any::<bool>(), "[ab*?]{0,3}"), 0..14),
+            names in proptest::collection::vec("[ab*?]{0,3}", 0..14),
+        ) {
+            let f = from_rules(&rules);
+            // `parse` cannot see an empty pattern (no token on the line).
+            let spellable: Vec<(bool, String)> =
+                rules.iter().filter(|(_, t)| !t.is_empty()).cloned().collect();
+            let reparsed = FilterFile::parse(&f.to_text()).unwrap();
+            prop_assert_eq!(&reparsed, &from_rules(&spellable));
+            // Every pattern text is also queried as a name.
+            for name in names.iter().chain(rules.iter().map(|(_, t)| t)) {
+                prop_assert_eq!(f.is_included(name), f.is_included_linear(name), "{:?} in {:?}", name, rules);
+                prop_assert_eq!(reparsed.is_included(name), reparsed.is_included_linear(name), "{:?} in {:?}", name, spellable);
+            }
+        }
+
+        #[test]
+        fn prop_three_ways_to_build_a_selection_filter_agree(
+            selected in proptest::collection::vec("[ab*?]{1,3}", 0..14),
+            names in proptest::collection::vec("[ab*?]{0,3}", 0..14),
+        ) {
+            let only = FilterFile::include_only(selected.iter().map(String::as_str));
+            let by_calls = from_rules(
+                &std::iter::once((false, "*".to_string()))
+                    .chain(selected.iter().map(|s| (true, s.clone())))
+                    .collect::<Vec<_>>(),
+            );
+            let reparsed = FilterFile::parse(&only.to_text()).unwrap();
+            prop_assert_eq!(&only, &by_calls);
+            prop_assert_eq!(&only, &reparsed);
+            for name in names.iter().chain(&selected) {
+                let want = only.is_included_linear(name);
+                prop_assert_eq!(only.is_included(name), want);
+                prop_assert_eq!(by_calls.is_included(name), want);
+                prop_assert_eq!(reparsed.is_included(name), want);
             }
         }
 

@@ -191,18 +191,14 @@ impl ScorepRuntime {
     }
 
     fn filtered_out(&self, id: RegionId) -> bool {
-        if self.runtime_filter.read().is_none() {
+        let filter = self.runtime_filter.read();
+        let Some(filter) = filter.as_ref() else {
             return false;
-        }
+        };
         if let Some(&dec) = self.filter_cache.read().get(&id) {
             return dec;
         }
-        let name = self.region_name(id);
-        let excluded = self
-            .runtime_filter
-            .read()
-            .as_ref()
-            .is_some_and(|f| !f.is_included(&name));
+        let excluded = !filter.is_included(&self.registry.read().names[id.0 as usize]);
         self.filter_cache.write().insert(id, excluded);
         excluded
     }

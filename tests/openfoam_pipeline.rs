@@ -168,3 +168,39 @@ coarse(%sel, byName("Amul", %%))
     // caller diversity keeps it.
     assert!(out.ic.contains("Foam::PCG::solve"));
 }
+
+/// Pins a long sorted name list in one number.
+fn names_fingerprint(label: &str, names: &[String]) -> u64 {
+    capi_persist::fingerprint_object(label, names.iter().map(|n| (n.as_str(), 0)))
+}
+
+/// Inlining compensation answers through the bulk symbol-name view; its
+/// report on this fixture is pinned to what the per-query symbol scan
+/// returned, name for name.
+#[test]
+fn inlining_compensation_report_is_pinned() {
+    let wf = workflow();
+    let c = wf
+        .select_ic(PAPER_SPECS[0].source)
+        .expect("mpi")
+        .compensation;
+    assert!(c.removed_names.is_sorted() && c.added_names.is_sorted());
+    assert_eq!(
+        (
+            c.selected_pre,
+            c.selected_post,
+            c.added,
+            c.removed_names.len(),
+            names_fingerprint("removed", &c.removed_names),
+            names_fingerprint("added", &c.added_names),
+        ),
+        (
+            805,
+            409,
+            135,
+            396,
+            69_205_360_784_695_320,
+            3_249_106_183_541_951_870
+        )
+    );
+}

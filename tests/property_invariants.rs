@@ -92,12 +92,14 @@ proptest! {
                 }
             }
         }
+        let names = bin.symbol_names();
         for f in p.iter_functions() {
             let name = p.interner.resolve(f.name);
             prop_assert!(
                 bin.has_symbol(name) || inlined_somewhere.contains(name),
                 "{name} vanished without trace"
             );
+            prop_assert_eq!(names.contains(name), bin.has_symbol(name), "{}", name);
         }
     }
 
