@@ -331,6 +331,7 @@ fn main() {
             Some(&tel),
             generation,
             &dispatch,
+            s.adapter_event_loss(),
             &decisions,
             health,
         );

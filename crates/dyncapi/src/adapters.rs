@@ -3,14 +3,107 @@
 //! Paper §V-C: "The default interface is compatible with GCC's
 //! `-finstrument-functions` interface … In addition, DynCaPI directly
 //! supports the Score-P and TALP APIs."
+//!
+//! Both adapters sit between the wait-free dispatch of `capi-xray` and a
+//! tool that keeps per-rank state behind one uncontended lock per rank
+//! (see `capi_scorep::runtime` and `capi_talp::api`), and add no lock of
+//! their own to an event:
+//!
+//! * what an adapter knows about a packed ID — its runtime address for
+//!   Score-P, its name for TALP — is an **immutable dense table**
+//!   (`object → fid`) built once in `new`;
+//! * the TALP adapter's mutable state is **per rank**: a dense front of
+//!   region handles this rank has bound, read and written with relaxed
+//!   atomics by that rank alone;
+//! * the **shared** region map is behind a lock only a rank's *first
+//!   sighting* of a region takes: it registers the region or binds the
+//!   handle another rank registered, and either way the rank is charged
+//!   [`TalpAdapter::registration_cost_ns`] — each rank on its own first
+//!   use, never "whichever thread registered first", so virtual clocks
+//!   do not depend on how rank threads interleave.
+//!
+//! Events the adapters cannot deliver are counted, never silent:
+//! [`ScorepAdapter::events_unmapped`] and
+//! [`TalpAdapterStats::events_dropped`], together [`AdapterEventLoss`].
 
 use capi_scorep::ScorepRuntime;
 use capi_talp::{RegionHandle, Talp, TalpError};
 use capi_xray::{Event, EventKind, Handler, PackedId, XRayRuntime};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Immutable dense `object → fid → T` table over the packed IDs an
+/// adapter was built with. XRay numbers the functions of an object
+/// consecutively, so each object's stretch is as long as its highest
+/// function ID.
+struct IdTable<T> {
+    /// Per object ID: where its stretch of `slots` starts, and how many
+    /// function IDs it covers.
+    objects: Vec<(usize, u32)>,
+    slots: Vec<Option<T>>,
+}
+
+impl<T> IdTable<T> {
+    fn new(entries: impl IntoIterator<Item = (PackedId, T)>) -> Self {
+        let entries: Vec<(PackedId, T)> = entries.into_iter().collect();
+        let mut objects: Vec<(usize, u32)> = Vec::new();
+        for (id, _) in &entries {
+            let o = id.object() as usize;
+            if objects.len() <= o {
+                objects.resize(o + 1, (0, 0));
+            }
+            objects[o].1 = objects[o].1.max(id.function() + 1);
+        }
+        let mut total = 0;
+        for (start, len) in &mut objects {
+            *start = total;
+            total += *len as usize;
+        }
+        let mut table = Self {
+            objects,
+            slots: (0..total).map(|_| None).collect(),
+        };
+        for (id, value) in entries {
+            let slot = table.slot(id).expect("sized to cover every entry");
+            table.slots[slot] = Some(value);
+        }
+        table
+    }
+
+    /// Index of `id` in `slots` (and in any array laid out like it), if
+    /// the table covers the ID.
+    #[inline]
+    fn slot(&self, id: PackedId) -> Option<usize> {
+        let &(start, len) = self.objects.get(id.object() as usize)?;
+        (id.function() < len).then(|| start + id.function() as usize)
+    }
+
+    #[inline]
+    fn get(&self, id: PackedId) -> Option<&T> {
+        self.slots[self.slot(id)?].as_ref()
+    }
+}
+
+/// Events the tool adapters received but could not hand to their tool.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdapterEventLoss {
+    /// [`ScorepAdapter::events_unmapped`].
+    pub scorep_events_unmapped: u64,
+    /// [`TalpAdapterStats::events_dropped`].
+    pub talp_events_dropped: u64,
+}
+
+impl AdapterEventLoss {
+    /// The post-mortem dump's `adapters:` line.
+    pub fn render(&self) -> String {
+        format!(
+            "adapters: scorep {} events unmapped, talp {} events dropped",
+            self.scorep_events_unmapped, self.talp_events_dropped
+        )
+    }
+}
 
 /// Score-P adapter: forwards events through the *generic* (address
 /// based) `__cyg_profile_func_*` interface, exactly like DynCaPI does
@@ -20,21 +113,20 @@ use std::sync::Arc;
 pub struct ScorepAdapter {
     scorep: Arc<ScorepRuntime>,
     /// PackedId → runtime address (what a real sled would pass).
-    addr_of: RwLock<HashMap<PackedId, u64>>,
+    addr_of: IdTable<u64>,
+    events_unmapped: AtomicU64,
 }
 
 impl ScorepAdapter {
     /// Creates the adapter, precomputing ID→address from the runtime.
     pub fn new(scorep: Arc<ScorepRuntime>, runtime: &XRayRuntime, ids: &[PackedId]) -> Self {
-        let mut addr_of = HashMap::with_capacity(ids.len());
-        for &id in ids {
-            if let Some(addr) = runtime.function_address(id) {
-                addr_of.insert(id, addr);
-            }
-        }
+        let addrs = ids
+            .iter()
+            .filter_map(|&id| Some((id, runtime.function_address(id)?)));
         Self {
             scorep,
-            addr_of: RwLock::new(addr_of),
+            addr_of: IdTable::new(addrs),
+            events_unmapped: AtomicU64::new(0),
         }
     }
 
@@ -42,13 +134,21 @@ impl ScorepAdapter {
     pub fn scorep(&self) -> &Arc<ScorepRuntime> {
         &self.scorep
     }
+
+    /// Events for IDs the adapter has no address for — every function
+    /// of a DSO `dlopen`ed after the adapter was built, for one. They
+    /// cost nothing and reach no profile.
+    pub fn events_unmapped(&self) -> u64 {
+        self.events_unmapped.load(Ordering::Relaxed)
+    }
 }
 
 impl Handler for ScorepAdapter {
     fn on_event(&self, event: Event) -> u64 {
-        let addr = match self.addr_of.read().get(&event.id) {
-            Some(&a) => a,
-            None => return 0, // unknown sled: nothing to record
+        let Some(&addr) = self.addr_of.get(event.id) else {
+            // A statistic that publishes nothing: relaxed.
+            self.events_unmapped.fetch_add(1, Ordering::Relaxed);
+            return 0;
         };
         match event.kind {
             EventKind::Entry => self.scorep.cyg_enter(event.rank, addr, event.tsc),
@@ -59,16 +159,25 @@ impl Handler for ScorepAdapter {
     }
 }
 
-/// Per-region registration state in the TALP adapter.
+/// Per-region registration state in the TALP adapter's shared map.
+#[derive(Clone, Copy, Default)]
 enum RegionState {
-    /// Not yet attempted.
+    /// No registration has succeeded yet.
+    #[default]
     Unregistered,
-    /// Registered; holds the DLB handle plus the ranks that already
-    /// paid their one-time binding cost (a tiny linear-scan list —
-    /// simulated worlds run a handful of ranks).
-    Registered(RegionHandle, Vec<u32>),
+    /// Registered; holds the DLB handle.
+    Registered(RegionHandle),
     /// Registration failed permanently (region table refused the name).
     FailedTable,
+}
+
+/// One entry of the TALP adapter's shared region map.
+#[derive(Clone, Copy, Default)]
+struct SharedRegion {
+    state: RegionState,
+    /// A registration was refused because MPI was not initialized (the
+    /// region may have registered since).
+    failed_pre_init: bool,
 }
 
 /// TALP adapter statistics (feeds the §VI-B(b) report).
@@ -86,6 +195,25 @@ pub struct TalpAdapterStats {
     pub events_dropped: u64,
 }
 
+/// A rank's front slot: the region is not bound on this rank yet.
+const UNBOUND: u32 = 0;
+/// A rank's front slot: no event of this ID will ever be delivered —
+/// the ID has no name, or the region table refused the region for good.
+const FAILED: u32 = u32::MAX;
+
+/// One rank's private view of the region map, on its own cache lines.
+/// Only that rank's events read or write it; the atomics are what lets
+/// a `&self` handler do so without a lock, and publish nothing (the
+/// handle they hold was produced under the shared map's lock by this
+/// same rank), hence relaxed.
+#[repr(align(64))]
+struct RankFront {
+    /// Laid out like the name table's slots: [`UNBOUND`], [`FAILED`], or
+    /// the bound region's handle plus one.
+    bound: Vec<AtomicU32>,
+    events_dropped: AtomicU64,
+}
+
 /// TALP adapter: maintains the monitoring-region map and lazily
 /// registers regions on first entry (paper §V-C2: "A monitoring region
 /// map is maintained … On entry and exit events, the corresponding
@@ -93,12 +221,12 @@ pub struct TalpAdapterStats {
 /// TALP, before the start/stop function is invoked").
 pub struct TalpAdapter {
     talp: Arc<Talp>,
-    /// fid → name map from symbol resolution.
-    names: HashMap<PackedId, String>,
-    regions: Mutex<HashMap<PackedId, RegionState>>,
-    /// Names that already hit a pre-init failure (count unique regions).
-    pre_init_failed: Mutex<HashMap<PackedId, ()>>,
-    events_dropped: AtomicU64,
+    /// fid → name from symbol resolution.
+    names: IdTable<Box<str>>,
+    fronts: Vec<RankFront>,
+    /// The shared region map, laid out like `names`' slots. Taken on a
+    /// rank's first sighting of a region only.
+    regions: Mutex<Vec<SharedRegion>>,
     /// Virtual per-event cost: map lookup + start/stop accounting.
     pub event_cost_ns: u64,
     /// Extra virtual cost of a rank's first use of a region
@@ -109,12 +237,21 @@ pub struct TalpAdapter {
 impl TalpAdapter {
     /// Creates the adapter with the resolved ID→name map.
     pub fn new(talp: Arc<Talp>, names: HashMap<PackedId, String>) -> Self {
+        let names = IdTable::new(names.into_iter().map(|(id, n)| (id, n.into_boxed_str())));
+        // Gaps in an object's function IDs never reach the shared map.
+        let unbound = |named: &Option<_>| if named.is_some() { UNBOUND } else { FAILED };
         Self {
+            fronts: (0..talp.size())
+                .map(|_| RankFront {
+                    bound: (names.slots.iter())
+                        .map(|named| AtomicU32::new(unbound(named)))
+                        .collect(),
+                    events_dropped: AtomicU64::new(0),
+                })
+                .collect(),
+            regions: Mutex::new(vec![SharedRegion::default(); names.slots.len()]),
             talp,
             names,
-            regions: Mutex::new(HashMap::new()),
-            pre_init_failed: Mutex::new(HashMap::new()),
-            events_dropped: AtomicU64::new(0),
             event_cost_ns: 90,
             registration_cost_ns: 500,
         }
@@ -127,15 +264,16 @@ impl TalpAdapter {
 
     /// Adapter statistics.
     pub fn stats(&self) -> TalpAdapterStats {
-        let regions = self.regions.lock();
         let mut s = TalpAdapterStats {
-            regions_failed_pre_init: self.pre_init_failed.lock().len() as u64,
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
+            events_dropped: (self.fronts.iter())
+                .map(|f| f.events_dropped.load(Ordering::Relaxed))
+                .sum(),
             ..Default::default()
         };
-        for st in regions.values() {
-            match st {
-                RegionState::Registered(..) => s.regions_registered += 1,
+        for region in self.regions.lock().iter() {
+            s.regions_failed_pre_init += u64::from(region.failed_pre_init);
+            match region.state {
+                RegionState::Registered(_) => s.regions_registered += 1,
                 RegionState::FailedTable => s.regions_failed_table += 1,
                 RegionState::Unregistered => {}
             }
@@ -143,162 +281,74 @@ impl TalpAdapter {
         s
     }
 
+    /// The handle to use for `event` and the extra cost of getting it.
+    #[inline]
     fn handle_for(&self, event: &Event) -> Option<(RegionHandle, u64)> {
+        let slot = self.names.slot(event.id)?;
+        let bound = &self.fronts[event.rank as usize].bound[slot];
+        match bound.load(Ordering::Relaxed) {
+            UNBOUND => self.bind(event.rank, slot, bound),
+            FAILED => None,
+            h => Some((RegionHandle(h - 1), 0)),
+        }
+    }
+
+    /// A rank's first sighting of a region: registers it, or binds the
+    /// handle another rank registered. Each rank pays the binding cost
+    /// on its *own* first use of the region — never "whichever thread
+    /// registered first" — so virtual clocks stay deterministic under
+    /// real threads.
+    fn bind(&self, rank: u32, slot: usize, bound: &AtomicU32) -> Option<(RegionHandle, u64)> {
+        #[cfg(test)]
+        tests::SHARED_MAP_VISITS.with(|c| c.set(c.get() + 1));
         let mut regions = self.regions.lock();
-        let state = regions.entry(event.id).or_insert(RegionState::Unregistered);
-        if let RegionState::Registered(h, bound) = state {
-            // Each rank pays the binding cost on its *own* first use of
-            // the region — never "whichever thread registered first" —
-            // so virtual clocks stay deterministic under real threads.
-            let extra = if bound.contains(&event.rank) {
-                0
-            } else {
-                bound.push(event.rank);
-                self.registration_cost_ns
-            };
-            return Some((*h, extra));
-        }
-        if matches!(state, RegionState::FailedTable) {
-            return None;
-        }
-        // First use: try to register.
-        let name = self.names.get(&event.id)?;
-        match self.talp.region_register(event.rank, name) {
-            Ok(h) => {
-                *state = RegionState::Registered(h, vec![event.rank]);
-                Some((h, self.registration_cost_ns))
-            }
-            Err(TalpError::MpiNotInitialized { .. }) => {
+        let region = &mut regions[slot];
+        if matches!(region.state, RegionState::Unregistered) {
+            let name = (self.names.slots[slot].as_deref()).expect("nameless slots start FAILED");
+            match self.talp.region_register(rank, name) {
+                Ok(h) => region.state = RegionState::Registered(h),
                 // Not recorded now; may succeed on a later entry.
-                self.pre_init_failed.lock().insert(event.id, ());
-                None
+                Err(TalpError::MpiNotInitialized { .. }) => region.failed_pre_init = true,
+                Err(TalpError::RegionTableFull { .. }) => region.state = RegionState::FailedTable,
+                Err(_) => {}
             }
-            Err(TalpError::RegionTableFull { .. }) => {
-                *state = RegionState::FailedTable;
-                None
-            }
-            Err(_) => None,
         }
+        let handle = match region.state {
+            RegionState::Registered(h) => h,
+            RegionState::FailedTable => {
+                bound.store(FAILED, Ordering::Relaxed);
+                return None;
+            }
+            RegionState::Unregistered => return None,
+        };
+        bound.store(handle.0 + 1, Ordering::Relaxed);
+        Some((handle, self.registration_cost_ns))
     }
 }
 
 impl Handler for TalpAdapter {
     fn on_event(&self, event: Event) -> u64 {
         let mut cost = self.event_cost_ns;
-        match self.handle_for(&event) {
+        let delivered = match self.handle_for(&event) {
             Some((handle, extra)) => {
                 cost += extra;
-                let r = match event.kind {
+                match event.kind {
                     EventKind::Entry => self.talp.region_start(event.rank, handle, event.tsc),
                     EventKind::Exit | EventKind::TailExit => {
                         self.talp.region_stop(event.rank, handle, event.tsc)
                     }
-                };
-                if r.is_err() {
-                    self.events_dropped.fetch_add(1, Ordering::Relaxed);
                 }
+                .is_ok()
             }
-            None => {
-                self.events_dropped.fetch_add(1, Ordering::Relaxed);
-            }
+            None => false,
+        };
+        if !delivered {
+            let front = &self.fronts[event.rank as usize];
+            front.events_dropped.fetch_add(1, Ordering::Relaxed);
         }
         cost
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use capi_talp::TalpConfig;
-
-    fn id(fid: u32) -> PackedId {
-        PackedId::pack(0, fid).unwrap()
-    }
-
-    fn event(fid: u32, kind: EventKind, tsc: u64) -> Event {
-        Event {
-            id: id(fid),
-            kind,
-            tsc,
-            rank: 0,
-        }
-    }
-
-    fn talp_ready() -> Arc<Talp> {
-        let t = Arc::new(Talp::new(1, TalpConfig::default()));
-        use capi_mpisim::PmpiHook;
-        t.on_init(0, 0);
-        t
-    }
-
-    #[test]
-    fn talp_adapter_registers_lazily_and_measures() {
-        let talp = talp_ready();
-        let mut names = HashMap::new();
-        names.insert(id(7), "solve".to_string());
-        let adapter = TalpAdapter::new(talp.clone(), names);
-        let first = adapter.on_event(event(7, EventKind::Entry, 100));
-        let _ = adapter.on_event(event(7, EventKind::Exit, 500));
-        let second = adapter.on_event(event(7, EventKind::Entry, 600));
-        assert!(first > second, "registration charged once");
-        let stats = adapter.stats();
-        assert_eq!(stats.regions_registered, 1);
-        // Region accumulated the measured span.
-        let m = talp.all_metrics();
-        let solve = m.iter().find(|r| r.name == "solve").unwrap();
-        assert_eq!(solve.useful_per_rank[0], 400);
-    }
-
-    #[test]
-    fn pre_init_entries_are_not_recorded() {
-        let talp = Arc::new(Talp::new(1, TalpConfig::default())); // no on_init
-        let mut names = HashMap::new();
-        names.insert(id(1), "main".to_string());
-        let adapter = TalpAdapter::new(talp.clone(), names);
-        adapter.on_event(event(1, EventKind::Entry, 0));
-        let stats = adapter.stats();
-        assert_eq!(stats.regions_failed_pre_init, 1);
-        assert_eq!(stats.regions_registered, 0);
-        assert!(stats.events_dropped >= 1);
-        // After MPI_Init a later entry succeeds.
-        use capi_mpisim::PmpiHook;
-        talp.on_init(0, 10);
-        adapter.on_event(event(1, EventKind::Entry, 20));
-        assert_eq!(adapter.stats().regions_registered, 1);
-        // The unique pre-init failure remains recorded.
-        assert_eq!(adapter.stats().regions_failed_pre_init, 1);
-    }
-
-    #[test]
-    fn table_full_is_permanent_and_unique() {
-        let talp = Arc::new(Talp::new(
-            1,
-            TalpConfig {
-                region_table_capacity: 4,
-                probe_limit: 1,
-            },
-        ));
-        use capi_mpisim::PmpiHook;
-        talp.on_init(0, 0);
-        let mut names = HashMap::new();
-        for fid in 0..16 {
-            names.insert(id(fid), format!("region_{fid}"));
-        }
-        let adapter = TalpAdapter::new(talp, names);
-        for fid in 0..16 {
-            adapter.on_event(event(fid, EventKind::Entry, fid as u64));
-            adapter.on_event(event(fid, EventKind::Exit, fid as u64 + 1));
-        }
-        let stats = adapter.stats();
-        assert!(stats.regions_failed_table > 0);
-        assert!(stats.regions_registered > 0);
-        assert_eq!(stats.regions_registered + stats.regions_failed_table, 16);
-    }
-
-    #[test]
-    fn events_without_names_are_dropped() {
-        let adapter = TalpAdapter::new(talp_ready(), HashMap::new());
-        adapter.on_event(event(9, EventKind::Entry, 0));
-        assert_eq!(adapter.stats().events_dropped, 1);
-    }
-}
+mod tests;

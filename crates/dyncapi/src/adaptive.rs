@@ -146,6 +146,9 @@ pub struct AdaptiveRun {
     /// degradation or detector firing), if any fired. Also written to
     /// `CAPI_DUMP_OUT` as JSON when that knob is set.
     pub post_mortem: Option<PostMortem>,
+    /// Events the tool adapter could not deliver, session total at the
+    /// end of the run.
+    pub adapter_loss: crate::AdapterEventLoss,
 }
 
 impl Session {
@@ -574,6 +577,7 @@ impl Session {
                         tel.as_ref(),
                         generation,
                         &dispatch,
+                        self.adapter_event_loss(),
                         controller.log_lines(),
                         monitor.report(),
                     );
@@ -634,6 +638,7 @@ impl Session {
             efficiency,
             health,
             post_mortem,
+            adapter_loss: self.adapter_event_loss(),
         })
     }
 

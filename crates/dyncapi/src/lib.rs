@@ -53,7 +53,7 @@ pub mod postmortem;
 pub mod startup;
 pub mod symres;
 
-pub use adapters::{ScorepAdapter, TalpAdapter, TalpAdapterStats};
+pub use adapters::{AdapterEventLoss, ScorepAdapter, TalpAdapter, TalpAdapterStats};
 pub use adaptive::{efficiency_summary, AdaptiveRun, EpochRecord, WarmStart, WarmStartSummary};
 pub use builder::{profile_source_from_env, AdaptiveOutcome, AdaptiveRunBuilder, ProfileSource};
 pub use lifecycle::{LifecycleOp, LifecycleScript, LifecycleStats, LoadDsoOutcome};

@@ -6,12 +6,14 @@
 //! without aborting: the flight recorder's last-N entries (merged
 //! deterministically by `(rank, seq)`), the full metrics snapshot, the
 //! published dispatch-table summary, the controller's recent
-//! decisions, and the health report so far.
+//! decisions, the events the tool adapters could not deliver, and the
+//! health report so far.
 //!
 //! The text rendering ([`PostMortem::text`]) is byte-deterministic —
 //! the test oracle — while the JSON document ([`PostMortem::to_json_string`],
 //! written to `CAPI_DUMP_OUT`) is for machines and humans.
 
+use crate::adapters::AdapterEventLoss;
 use capi_adapt::AdaptController;
 use capi_obs::{HealthReport, MetricsSnapshot, Telemetry};
 use capi_xray::ObjectPatchSummary;
@@ -105,15 +107,17 @@ pub struct PostMortem {
 impl PostMortem {
     /// Assembles a dump from the state at trigger time. Pure with
     /// respect to its inputs: everything rendered is deterministic
-    /// (recorder entries, metrics sections, dispatch summary, decision
-    /// tail, health report), so two same-seed runs dump byte-identical
-    /// text.
+    /// (recorder entries, metrics sections, dispatch summary, adapter
+    /// event loss, decision tail, health report), so two same-seed runs
+    /// dump byte-identical text.
+    #[allow(clippy::too_many_arguments)]
     pub fn build(
         trigger: DumpTrigger,
         epoch: usize,
         tel: Option<&Telemetry>,
         generation: u64,
         dispatch: &[ObjectPatchSummary],
+        adapters: AdapterEventLoss,
         decisions: &[String],
         health: &HealthReport,
     ) -> Self {
@@ -141,6 +145,7 @@ impl PostMortem {
             }
             text.push('\n');
         }
+        let _ = writeln!(text, "{}", adapters.render());
         let _ = writeln!(
             text,
             "decisions ({} total, last {}):",
@@ -170,6 +175,10 @@ impl PostMortem {
                     "sampled": o.sampled,
                     "faulted": o.faulted,
                 })).collect::<Vec<_>>(),
+            },
+            "adapters": {
+                "scorep_events_unmapped": adapters.scorep_events_unmapped,
+                "talp_events_dropped": adapters.talp_events_dropped,
             },
             "decisions": {"total": decisions.len(), "tail": tail},
             "recorder": tel.map(|t| {
@@ -279,6 +288,7 @@ pub(crate) fn flush_degraded_artifacts(
         tel.as_ref(),
         generation,
         &dispatch,
+        session.adapter_event_loss(),
         controller.log_lines(),
         &HealthReport::default(),
     );
@@ -348,6 +358,10 @@ mod tests {
             Some(&tel),
             7,
             &dispatch,
+            AdapterEventLoss {
+                scorep_events_unmapped: 6,
+                talp_events_dropped: 2,
+            },
             &decisions,
             &health,
         );
@@ -359,6 +373,7 @@ mod tests {
         assert!(text.contains("dispatch: generation 7, 2 objects\n"));
         assert!(text.contains("  obj 0: 5/8 patched, 1 sampled\n"));
         assert!(text.contains("  obj 1: 0/3 patched, 0 sampled, FAULTED\n"));
+        assert!(text.contains("adapters: scorep 6 events unmapped, talp 2 events dropped\n"));
         assert!(text.contains("decisions (20 total, last 12):\n"));
         assert!(!text.contains("decision 7\n"), "older decisions trimmed");
         assert!(text.contains("  decision 8\n") && text.contains("  decision 19\n"));
@@ -383,6 +398,7 @@ mod tests {
                 Some(&tel),
                 7,
                 &dispatch,
+                AdapterEventLoss::default(),
                 &decisions,
                 &health,
             )
@@ -407,6 +423,7 @@ mod tests {
         assert_eq!(at(&["recorder", "entries", "0", "kind"]), json!("mark"));
         assert_eq!(at(&["recorder", "entries", "1", "rank"]), json!("control"));
         assert_eq!(at(&["decisions", "total"]), json!(20));
+        assert_eq!(at(&["adapters", "talp_events_dropped"]), json!(0));
     }
 
     #[test]
@@ -419,6 +436,7 @@ mod tests {
             None,
             0,
             &[],
+            AdapterEventLoss::default(),
             &[],
             &HealthReport::default(),
         );

@@ -8,7 +8,7 @@
 //! contributes its virtual cost to `T_init` — the initialization column
 //! of Table II.
 
-use crate::adapters::{ScorepAdapter, TalpAdapter};
+use crate::adapters::{AdapterEventLoss, ScorepAdapter, TalpAdapter};
 use crate::symres::{resolve_ids, SymbolResolution, SymresStats};
 use capi_exec::{Engine, ExecError, OverheadModel, RunReport};
 use capi_mpisim::{CostModel, World};
@@ -205,6 +205,8 @@ pub struct Session {
     pub runtime: Arc<XRayRuntime>,
     /// Score-P runtime, when the tool is Score-P.
     pub scorep: Option<Arc<ScorepRuntime>>,
+    /// Score-P adapter (for its unmapped-event count).
+    pub scorep_adapter: Option<Arc<ScorepAdapter>>,
     /// TALP instance, when the tool is TALP.
     pub talp: Option<Arc<Talp>>,
     /// TALP adapter (for its anomaly stats).
@@ -310,6 +312,7 @@ pub fn startup(binary: &Binary, config: DynCapiConfig) -> Result<Session, DynCap
         .collect();
 
     let mut scorep = None;
+    let mut scorep_adapter = None;
     let mut talp = None;
     let mut talp_adapter = None;
     match &config.tool {
@@ -331,8 +334,9 @@ pub fn startup(binary: &Binary, config: DynCapiConfig) -> Result<Session, DynCap
             }
             report.init_ns += rt.init_cost_ns;
             let adapter = Arc::new(ScorepAdapter::new(rt.clone(), &runtime, &all_ids));
-            runtime.set_handler(adapter);
+            runtime.set_handler(adapter.clone());
             scorep = Some(rt);
+            scorep_adapter = Some(adapter);
         }
         ToolChoice::Talp(cfg) => {
             let t = Arc::new(Talp::new(config.ranks, cfg.clone()));
@@ -348,6 +352,7 @@ pub fn startup(binary: &Binary, config: DynCapiConfig) -> Result<Session, DynCap
         process,
         runtime,
         scorep,
+        scorep_adapter,
         talp,
         talp_adapter,
         report,
@@ -440,9 +445,22 @@ pub struct SessionRun {
     pub init_ns: u64,
     /// `T_total` = init + slowest rank.
     pub total_ns: u64,
+    /// Events the tool adapter could not deliver, session total so far.
+    pub adapter_loss: AdapterEventLoss,
 }
 
 impl Session {
+    /// Events the tool adapter received but could not hand to its tool
+    /// (all zero without a tool).
+    pub fn adapter_event_loss(&self) -> AdapterEventLoss {
+        AdapterEventLoss {
+            scorep_events_unmapped: (self.scorep_adapter.as_ref())
+                .map_or(0, |a| a.events_unmapped()),
+            talp_events_dropped: (self.talp_adapter.as_ref())
+                .map_or(0, |a| a.stats().events_dropped),
+        }
+    }
+
     /// Executes the program once across all configured ranks.
     pub fn run(&self) -> Result<SessionRun, DynCapiError> {
         let world = World::new(self.config.ranks, self.config.mpi_cost);
@@ -456,6 +474,7 @@ impl Session {
             init_ns: self.report.init_ns,
             total_ns: self.report.init_ns + run.total_ns,
             run,
+            adapter_loss: self.adapter_event_loss(),
         })
     }
 }

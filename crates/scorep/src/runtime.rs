@@ -15,12 +15,34 @@
 //!   the probe + lookup cost anyway (§II-B);
 //! * the per-event cost model: cheap base cost, expensive new-call-path
 //!   creation (drives the Table II crossover against TALP).
+//!
+//! # What is per rank and what is shared
+//!
+//! An event takes **one lock**: its rank's. Behind it sit the rank's
+//! call-path [`Profile`], its recorded/filtered counters and two private
+//! *fronts* — address → [`RegionId`] and region → filter decision — so a
+//! rank that has seen an address before touches nothing another rank
+//! writes. The symbol map, the region registry and the filter are
+//! **shared** behind a second lock that only a front miss takes (a
+//! rank's first sighting of an address, or of a region under a new
+//! filter) besides the by-name calls. [`ScorepRuntime::inject_symbols`]
+//! and [`ScorepRuntime::set_runtime_filter`] each bump a generation; a
+//! rank that finds its copy stale drops the matching front before it
+//! looks anything up. [`ScorepRuntime::stats`],
+//! [`ScorepRuntime::profile`] and [`ScorepRuntime::merged`] fold the
+//! per-rank state when they are called.
+//!
+//! `first_resolution_ns` is charged to **each rank on its own first
+//! sighting** of an address (again after every symbol injection) — never
+//! to "whichever thread got there first", so virtual clocks do not
+//! depend on how rank threads interleave.
 
 use crate::filter::FilterFile;
 use crate::profile::{MergedProfile, Profile, RegionId};
 use capi_objmodel::Process;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cost-model constants (virtual ns).
@@ -73,6 +95,7 @@ pub struct ScorepStats {
     pub injected_symbols: u64,
 }
 
+#[derive(Default)]
 struct Registry {
     by_name: HashMap<String, RegionId>,
     names: Vec<String>,
@@ -90,23 +113,83 @@ impl Registry {
     }
 }
 
+/// Hasher of a rank's address front: one multiply and a rotate. The keys
+/// are function addresses of this process, never outside input, so
+/// SipHash's protection against crafted collisions buys nothing here.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, addr: u64) {
+        self.0 = (self.0 ^ addr).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are the well-mixed ones; the table
+        // indexes with the low ones.
+        self.0.rotate_left(32)
+    }
+}
+
+/// Everything an event of one rank reads or writes, behind that rank's
+/// lock and on its own cache lines.
+#[repr(align(64))]
+#[derive(Default)]
+struct RankSlot {
+    state: Mutex<RankState>,
+}
+
+#[derive(Default)]
+struct RankState {
+    profile: Profile,
+    /// [`ScorepRuntime::symbols_gen`] that `addr_front` was filled under.
+    symbols_gen: u64,
+    /// Address → region as this rank has resolved it (synthetic
+    /// `UNKNOWN@0x…` regions included).
+    addr_front: HashMap<u64, RegionId, BuildHasherDefault<AddrHasher>>,
+    /// [`ScorepRuntime::filter_gen`] that `filter_front` was filled under.
+    filter_gen: u64,
+    /// Per [`RegionId`]: whether the runtime filter discards the region
+    /// (`None` = not asked yet).
+    filter_front: Vec<Option<bool>>,
+    events_recorded: u64,
+    events_filtered: u64,
+}
+
+/// What only a front miss, a by-name call or a reader touches.
+#[derive(Default)]
+struct Shared {
+    registry: Registry,
+    /// Names resolvable from the executable (built at init) and injected
+    /// symbols: address → name.
+    addr_names: HashMap<u64, String>,
+    /// Address → region, as resolved since the last symbol injection: a
+    /// second rank's first sighting neither re-registers the region nor
+    /// counts an unresolvable address again.
+    resolved: HashMap<u64, RegionId>,
+    runtime_filter: Option<FilterFile>,
+    unresolved: u64,
+    injected: u64,
+}
+
 /// The Score-P runtime for one application run.
 pub struct ScorepRuntime {
     config: ScorepConfig,
-    registry: RwLock<Registry>,
-    /// address → region id (None = known-unresolvable).
-    addr_cache: RwLock<HashMap<u64, Option<RegionId>>>,
-    /// Names resolvable from the executable (built at init) and injected
-    /// symbols: address → name.
-    addr_names: RwLock<HashMap<u64, String>>,
-    profiles: Vec<Mutex<Profile>>,
-    runtime_filter: RwLock<Option<FilterFile>>,
-    /// Regions excluded by the runtime filter (cached decision per id).
-    filter_cache: RwLock<HashMap<RegionId, bool>>,
-    events_recorded: AtomicU64,
-    events_filtered: AtomicU64,
-    unresolved: AtomicU64,
-    injected: AtomicU64,
+    ranks: Vec<RankSlot>,
+    shared: Mutex<Shared>,
+    /// Bumped by [`Self::inject_symbols`]: ranks drop their address
+    /// fronts (stale negative entries) when it moves.
+    symbols_gen: AtomicU64,
+    /// Bumped by [`Self::set_runtime_filter`], so non-zero exactly when a
+    /// filter is installed: ranks drop their filter decisions when it
+    /// moves.
+    filter_gen: AtomicU64,
     /// Virtual cost of initialization (charged once by the executor).
     pub init_cost_ns: u64,
 }
@@ -125,300 +208,232 @@ impl ScorepRuntime {
             config.init_base_ns + config.init_per_symbol_ns * addr_names.len() as u64;
         Self {
             config,
-            registry: RwLock::new(Registry {
-                by_name: HashMap::new(),
-                names: Vec::new(),
+            ranks: (0..ranks).map(|_| RankSlot::default()).collect(),
+            shared: Mutex::new(Shared {
+                addr_names,
+                ..Shared::default()
             }),
-            addr_cache: RwLock::new(HashMap::new()),
-            addr_names: RwLock::new(addr_names),
-            profiles: (0..ranks).map(|_| Mutex::new(Profile::new())).collect(),
-            runtime_filter: RwLock::new(None),
-            filter_cache: RwLock::new(HashMap::new()),
-            events_recorded: AtomicU64::new(0),
-            events_filtered: AtomicU64::new(0),
-            unresolved: AtomicU64::new(0),
-            injected: AtomicU64::new(0),
+            symbols_gen: AtomicU64::new(0),
+            filter_gen: AtomicU64::new(0),
             init_cost_ns,
         }
+    }
+
+    /// One rank's state: the single lock an event takes.
+    fn rank(&self, rank: u32) -> MutexGuard<'_, RankState> {
+        #[cfg(test)]
+        tests::LOCKS.with(|c| c.set(c.get() + 1));
+        self.ranks[rank as usize].state.lock()
+    }
+
+    /// The shared slow-path state. Taken with a rank lock held, never
+    /// the other way round.
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        #[cfg(test)]
+        tests::LOCKS.with(|c| c.set(c.get() + 1));
+        self.shared.lock()
     }
 
     /// Injects `(address, name)` pairs for shared-object symbols — the
     /// symbol-injection mechanism CaPI uses so Score-P can resolve DSO
     /// functions (paper §V-C1).
     pub fn inject_symbols(&self, symbols: impl IntoIterator<Item = (u64, String)>) {
-        let mut names = self.addr_names.write();
-        let mut n = 0;
+        let mut shared = self.shared();
         for (addr, name) in symbols {
-            names.insert(addr, name);
-            n += 1;
+            shared.addr_names.insert(addr, name);
+            shared.injected += 1;
         }
-        self.injected.fetch_add(n, Ordering::Relaxed);
-        // Drop stale negative cache entries.
-        self.addr_cache.write().clear();
+        // Drop stale negative entries: here, and (through the
+        // generation) in every rank's front. Bumped under the lock, and
+        // Release pairs with the Acquire load in `sync_fronts`: a rank
+        // that sees the new generation resolves against the new symbols.
+        shared.resolved.clear();
+        self.symbols_gen.fetch_add(1, Ordering::Release);
     }
 
     /// Installs a runtime filter (probes stay; events are checked).
     pub fn set_runtime_filter(&self, filter: FilterFile) {
-        *self.runtime_filter.write() = Some(filter);
-        self.filter_cache.write().clear();
+        let mut shared = self.shared();
+        shared.runtime_filter = Some(filter);
+        // Same pairing as in `inject_symbols`.
+        self.filter_gen.fetch_add(1, Ordering::Release);
     }
 
     /// The name of a region id.
     pub fn region_name(&self, id: RegionId) -> String {
-        self.registry.read().names[id.0 as usize].clone()
+        self.shared().registry.names[id.0 as usize].clone()
     }
 
     /// Region id for a name (registering it if new).
     pub fn region_for_name(&self, name: &str) -> RegionId {
-        self.registry.write().id_for(name)
+        self.shared().registry.id_for(name)
     }
 
-    fn resolve(&self, addr: u64) -> (Option<RegionId>, u64) {
-        if let Some(&cached) = self.addr_cache.read().get(&addr) {
-            return (cached, 0);
+    /// Drops whichever of the rank's fronts an injection or a new filter
+    /// has outdated. Returns whether a runtime filter is installed.
+    fn sync_fronts(&self, st: &mut RankState) -> bool {
+        let symbols_gen = self.symbols_gen.load(Ordering::Acquire);
+        if st.symbols_gen != symbols_gen {
+            st.addr_front.clear();
+            st.symbols_gen = symbols_gen;
         }
-        // First resolution: look up the symbol map.
-        let name = self.addr_names.read().get(&addr).cloned();
-        let id = match name {
-            Some(n) => Some(self.registry.write().id_for(&n)),
+        let filter_gen = self.filter_gen.load(Ordering::Acquire);
+        if st.filter_gen != filter_gen {
+            st.filter_front.clear();
+            st.filter_gen = filter_gen;
+        }
+        filter_gen != 0
+    }
+
+    /// A rank's first sighting of `addr`: resolves it against the shared
+    /// symbol map. Unresolvable addresses are profiled under a synthetic
+    /// `UNKNOWN@0x…` region.
+    fn resolve_shared(&self, addr: u64) -> RegionId {
+        #[cfg(test)]
+        tests::SHARED_RESOLUTIONS.with(|c| c.set(c.get() + 1));
+        let mut shared = self.shared();
+        if let Some(&id) = shared.resolved.get(&addr) {
+            return id;
+        }
+        let shared = &mut *shared;
+        let id = match shared.addr_names.get(&addr) {
+            Some(name) => shared.registry.id_for(name),
             None => {
-                self.unresolved.fetch_add(1, Ordering::Relaxed);
-                None
+                shared.unresolved += 1;
+                shared.registry.id_for(&format!("UNKNOWN@{addr:#x}"))
             }
         };
-        self.addr_cache.write().insert(addr, id);
-        (id, self.config.first_resolution_ns)
+        shared.resolved.insert(addr, id);
+        id
     }
 
-    fn filtered_out(&self, id: RegionId) -> bool {
-        let filter = self.runtime_filter.read();
-        let Some(filter) = filter.as_ref() else {
-            return false;
-        };
-        if let Some(&dec) = self.filter_cache.read().get(&id) {
-            return dec;
+    fn filtered_out(&self, st: &mut RankState, id: RegionId) -> bool {
+        let i = id.0 as usize;
+        if let Some(Some(excluded)) = st.filter_front.get(i) {
+            return *excluded;
         }
-        let excluded = !filter.is_included(&self.registry.read().names[id.0 as usize]);
-        self.filter_cache.write().insert(id, excluded);
+        let excluded = {
+            let shared = self.shared();
+            let filter = shared.runtime_filter.as_ref();
+            !filter
+                .expect("a non-zero filter generation means a filter is installed")
+                .is_included(&shared.registry.names[i])
+        };
+        if st.filter_front.len() <= i {
+            st.filter_front.resize(i + 1, None);
+        }
+        st.filter_front[i] = Some(excluded);
         excluded
     }
 
     /// `__cyg_profile_func_enter`: address-based entry event. Returns the
     /// virtual cost.
     pub fn cyg_enter(&self, rank: u32, addr: u64, ts: u64) -> u64 {
-        let (id, cost) = self.resolve(addr);
-        let id = match id {
-            Some(id) => id,
-            None => {
-                // Unresolvable: profiled under a synthetic UNKNOWN region.
-                self.registry.write().id_for(&format!("UNKNOWN@{addr:#x}"))
-            }
-        };
-        cost + self.enter_region_id(rank, id, ts)
+        self.cyg_event(rank, addr, ts, true)
     }
 
     /// `__cyg_profile_func_exit`.
     pub fn cyg_exit(&self, rank: u32, addr: u64, ts: u64) -> u64 {
-        let (id, cost) = self.resolve(addr);
-        let id = match id {
-            Some(id) => id,
-            None => self.registry.write().id_for(&format!("UNKNOWN@{addr:#x}")),
+        self.cyg_event(rank, addr, ts, false)
+    }
+
+    fn cyg_event(&self, rank: u32, addr: u64, ts: u64, enter: bool) -> u64 {
+        let mut st = self.rank(rank);
+        let filtering = self.sync_fronts(&mut st);
+        let (id, cost) = match st.addr_front.get(&addr) {
+            Some(&id) => (id, 0),
+            None => {
+                let id = self.resolve_shared(addr);
+                st.addr_front.insert(addr, id);
+                (id, self.config.first_resolution_ns)
+            }
         };
-        cost + self.exit_region_id(rank, id, ts)
+        cost + self.record(&mut st, filtering, id, ts, enter)
     }
 
     /// Name-based entry (used by adapters that already know the name).
     pub fn enter_region(&self, rank: u32, name: &str, ts: u64) -> u64 {
-        let id = self.region_for_name(name);
-        self.enter_region_id(rank, id, ts)
+        self.region_event(rank, name, ts, true)
     }
 
     /// Name-based exit.
     pub fn exit_region(&self, rank: u32, name: &str, ts: u64) -> u64 {
+        self.region_event(rank, name, ts, false)
+    }
+
+    fn region_event(&self, rank: u32, name: &str, ts: u64, enter: bool) -> u64 {
         let id = self.region_for_name(name);
-        self.exit_region_id(rank, id, ts)
+        let mut st = self.rank(rank);
+        let filtering = self.sync_fronts(&mut st);
+        self.record(&mut st, filtering, id, ts, enter)
     }
 
-    fn enter_region_id(&self, rank: u32, id: RegionId, ts: u64) -> u64 {
+    /// Filters, then records one event into the rank's profile.
+    fn record(
+        &self,
+        st: &mut RankState,
+        filtering: bool,
+        id: RegionId,
+        ts: u64,
+        enter: bool,
+    ) -> u64 {
         let mut cost = self.config.event_base_ns;
-        if self.runtime_filter.read().is_some() {
+        if filtering {
             cost += self.config.filter_check_ns;
-            if self.filtered_out(id) {
-                self.events_filtered.fetch_add(1, Ordering::Relaxed);
+            if self.filtered_out(st, id) {
+                st.events_filtered += 1;
                 return cost;
             }
         }
-        let mut profile = self.profiles[rank as usize].lock();
-        let created = profile.enter(id, ts);
-        cost += self.config.depth_cost_ns * profile.depth() as u64;
-        drop(profile);
-        if created {
-            cost += self.config.new_callpath_ns;
-        }
-        self.events_recorded.fetch_add(1, Ordering::Relaxed);
-        cost
-    }
-
-    fn exit_region_id(&self, rank: u32, id: RegionId, ts: u64) -> u64 {
-        let mut cost = self.config.event_base_ns;
-        if self.runtime_filter.read().is_some() {
-            cost += self.config.filter_check_ns;
-            if self.filtered_out(id) {
-                self.events_filtered.fetch_add(1, Ordering::Relaxed);
-                return cost;
+        if enter {
+            if st.profile.enter(id, ts) {
+                cost += self.config.new_callpath_ns;
             }
+            cost += self.config.depth_cost_ns * st.profile.depth() as u64;
+        } else {
+            cost += self.config.depth_cost_ns * st.profile.depth() as u64;
+            st.profile.exit(id, ts);
         }
-        let mut profile = self.profiles[rank as usize].lock();
-        cost += self.config.depth_cost_ns * profile.depth() as u64;
-        profile.exit(id, ts);
-        drop(profile);
-        self.events_recorded.fetch_add(1, Ordering::Relaxed);
+        st.events_recorded += 1;
         cost
     }
 
     /// Snapshot of one rank's profile.
     pub fn profile(&self, rank: u32) -> Profile {
-        self.profiles[rank as usize].lock().clone()
+        self.rank(rank).profile.clone()
     }
 
     /// Merged per-region totals across all ranks.
     pub fn merged(&self) -> MergedProfile {
-        let profiles: Vec<Profile> = self.profiles.iter().map(|p| p.lock().clone()).collect();
+        let profiles: Vec<Profile> = (0..self.ranks.len() as u32)
+            .map(|r| self.profile(r))
+            .collect();
         MergedProfile::merge(&profiles)
     }
 
     /// Region names, indexed by `RegionId`.
     pub fn region_names(&self) -> Vec<String> {
-        self.registry.read().names.clone()
+        self.shared().registry.names.clone()
     }
 
     /// Measurement statistics.
     pub fn stats(&self) -> ScorepStats {
-        ScorepStats {
-            events_recorded: self.events_recorded.load(Ordering::Relaxed),
-            events_filtered: self.events_filtered.load(Ordering::Relaxed),
-            unresolved_addresses: self.unresolved.load(Ordering::Relaxed),
-            injected_symbols: self.injected.load(Ordering::Relaxed),
+        let mut stats = {
+            let shared = self.shared();
+            ScorepStats {
+                unresolved_addresses: shared.unresolved,
+                injected_symbols: shared.injected,
+                ..ScorepStats::default()
+            }
+        };
+        for rank in 0..self.ranks.len() as u32 {
+            let st = self.rank(rank);
+            stats.events_recorded += st.events_recorded;
+            stats.events_filtered += st.events_filtered;
         }
+        stats
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::filter::FilterFile;
-    use capi_appmodel::{LinkTarget, ProgramBuilder};
-    use capi_objmodel::{compile, CompileOptions};
-
-    fn process() -> Process {
-        let mut b = ProgramBuilder::new("app");
-        b.unit("m.cc", LinkTarget::Executable);
-        b.function("main")
-            .main()
-            .statements(50)
-            .instructions(300)
-            .calls("kernel", 1)
-            .calls("dso_fn", 1)
-            .finish();
-        b.function("kernel")
-            .statements(60)
-            .instructions(400)
-            .finish();
-        b.unit("d.cc", LinkTarget::Dso("libd.so".into()));
-        b.function("dso_fn")
-            .statements(60)
-            .instructions(400)
-            .finish();
-        let p = b.build().unwrap();
-        Process::launch_binary(&compile(&p, &CompileOptions::o2()).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn exe_addresses_resolve_dso_addresses_do_not() {
-        let proc = process();
-        let rt = ScorepRuntime::new(1, &proc, ScorepConfig::default());
-        let main_addr = proc.resolve("main").unwrap().addr;
-        let dso_addr = proc.resolve("dso_fn").unwrap().addr;
-        rt.cyg_enter(0, main_addr, 0);
-        rt.cyg_enter(0, dso_addr, 10);
-        rt.cyg_exit(0, dso_addr, 20);
-        rt.cyg_exit(0, main_addr, 30);
-        assert_eq!(rt.stats().unresolved_addresses, 1);
-        let names = rt.region_names();
-        assert!(names.iter().any(|n| n == "main"));
-        assert!(names.iter().any(|n| n.starts_with("UNKNOWN@0x")));
-    }
-
-    #[test]
-    fn symbol_injection_fixes_dso_resolution() {
-        let proc = process();
-        let rt = ScorepRuntime::new(1, &proc, ScorepConfig::default());
-        let dso = proc.object(1).unwrap();
-        rt.inject_symbols(
-            dso.image
-                .symtab
-                .all()
-                .iter()
-                .map(|s| (dso.base + s.offset, s.name.clone())),
-        );
-        let dso_addr = proc.resolve("dso_fn").unwrap().addr;
-        rt.cyg_enter(0, dso_addr, 0);
-        rt.cyg_exit(0, dso_addr, 5);
-        assert_eq!(rt.stats().unresolved_addresses, 0);
-        assert!(rt.region_names().iter().any(|n| n == "dso_fn"));
-        assert!(rt.stats().injected_symbols >= 1);
-    }
-
-    #[test]
-    fn new_callpath_costs_more_than_revisit() {
-        let proc = process();
-        let rt = ScorepRuntime::new(1, &proc, ScorepConfig::default());
-        let first = rt.enter_region(0, "kernel", 0);
-        rt.exit_region(0, "kernel", 10);
-        let second = rt.enter_region(0, "kernel", 20);
-        assert!(first > second);
-        assert_eq!(first - second, ScorepConfig::default().new_callpath_ns);
-    }
-
-    #[test]
-    fn runtime_filtering_discards_but_charges() {
-        let proc = process();
-        let rt = ScorepRuntime::new(1, &proc, ScorepConfig::default());
-        rt.set_runtime_filter(FilterFile::include_only(["kernel"]));
-        let cost_kept = rt.enter_region(0, "kernel", 0);
-        rt.exit_region(0, "kernel", 5);
-        let cost_dropped = rt.enter_region(0, "noise", 10);
-        assert!(cost_dropped > 0, "filtered events still cost");
-        assert!(cost_kept > cost_dropped);
-        let stats = rt.stats();
-        assert_eq!(stats.events_filtered, 1);
-        assert_eq!(stats.events_recorded, 2);
-        // The filtered region never appears in the profile.
-        let merged = rt.merged();
-        let noise_id = rt.region_for_name("noise");
-        assert!(!merged.per_region.contains_key(&noise_id));
-    }
-
-    #[test]
-    fn profiles_are_per_rank_and_merge() {
-        let proc = process();
-        let rt = ScorepRuntime::new(2, &proc, ScorepConfig::default());
-        rt.enter_region(0, "kernel", 0);
-        rt.exit_region(0, "kernel", 100);
-        rt.enter_region(1, "kernel", 0);
-        rt.exit_region(1, "kernel", 50);
-        let merged = rt.merged();
-        let id = rt.region_for_name("kernel");
-        let t = merged.per_region[&id];
-        assert_eq!(t.visits, 2);
-        assert_eq!(t.inclusive_ns, 150);
-    }
-
-    #[test]
-    fn init_cost_scales_with_symbols() {
-        let proc = process();
-        let cfg = ScorepConfig::default();
-        let rt = ScorepRuntime::new(1, &proc, cfg);
-        assert!(rt.init_cost_ns > cfg.init_base_ns);
-    }
-}
+mod tests;

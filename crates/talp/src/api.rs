@@ -12,13 +12,25 @@
 //! plus TALP's implicit whole-execution "Global" region and the runtime
 //! query API that lets the application or an external resource manager
 //! read metrics mid-run.
+//!
+//! # What is per rank and what is shared
+//!
+//! `region_start`, `region_stop` and the PMPI hooks take **one lock**:
+//! their rank's, behind which sit the rank's region records (indexed by
+//! handle), its stack of open regions, its MPI entry time and its
+//! start/stop counters. The shm table, the registry of region names and
+//! the failed names are **shared**; registration touches them, a rank
+//! reads the registry once when it first uses a handle beyond its
+//! records, and the readers ([`Talp::query`], [`Talp::all_metrics`],
+//! [`Talp::stats`]) fold the per-rank state when they are called.
 
 use crate::metrics::{PopMetrics, RegionMetrics};
 use crate::shmem::{InsertOutcome, ShmemRegionTable};
 use capi_mpisim::{MpiOp, PmpiHook};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Opaque region handle (the `dlb_monitor_t*` equivalent).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,6 +110,8 @@ pub struct TalpStats {
     pub stops: u64,
 }
 
+/// One rank's accounting for one region.
+#[derive(Clone, Default)]
 struct RankRegion {
     depth: u32,
     started_at: u64,
@@ -110,46 +124,41 @@ struct RankRegion {
     last_stop: u64,
 }
 
-impl RankRegion {
-    fn new() -> Self {
-        Self {
-            depth: 0,
-            started_at: 0,
-            mpi_while_open: 0,
-            useful_total: 0,
-            mpi_total: 0,
-            span_total: 0,
-            enters: 0,
-            first_start: None,
-            last_stop: 0,
-        }
-    }
+/// Everything `region_start` / `region_stop` and the PMPI hooks of one
+/// rank read or write, behind that rank's lock and on its own cache
+/// lines.
+#[repr(align(64))]
+#[derive(Default)]
+struct RankSlot {
+    state: Mutex<RankState>,
 }
 
-struct Region {
-    name: String,
-    per_rank: Vec<Mutex<RankRegion>>,
-}
-
+#[derive(Default)]
 struct RankState {
+    /// Indexed by handle; grown to the registry's size when the rank
+    /// first uses a handle beyond it.
+    regions: Vec<RankRegion>,
+    /// Handles of the open regions, in start order.
     open: Vec<u32>,
     mpi_entered_at: Option<u64>,
+    starts: u64,
+    stops: u64,
 }
 
-/// The TALP monitor.
+/// The TALP monitor. The [module docs](self) say what is per rank and
+/// what is shared.
 pub struct Talp {
     size: u32,
     table: ShmemRegionTable,
-    regions: RwLock<Vec<Region>>,
-    rank_state: Vec<Mutex<RankState>>,
+    /// Region names by handle: the registry. Never locked while a rank
+    /// lock is wanted (readers copy what they need first).
+    names: RwLock<Vec<String>>,
+    ranks: Vec<RankSlot>,
     mpi_initialized: Vec<AtomicBool>,
     failed_names: Mutex<Vec<String>>,
     stats_pre_init: AtomicU64,
-    stats_registered: AtomicU64,
-    stats_starts: AtomicU64,
-    stats_stops: AtomicU64,
     /// Handle of the implicit whole-execution region.
-    global: RwLock<Option<RegionHandle>>,
+    global: OnceLock<RegionHandle>,
     finalized_report: Mutex<Option<Vec<RegionMetrics>>>,
     /// Virtual cost of attributing one MPI interval to one open region
     /// *beyond* the cache-resident prefix (see
@@ -169,22 +178,12 @@ impl Talp {
         Self {
             size,
             table: ShmemRegionTable::new(config.region_table_capacity, config.probe_limit),
-            regions: RwLock::new(Vec::new()),
-            rank_state: (0..size)
-                .map(|_| {
-                    Mutex::new(RankState {
-                        open: Vec::new(),
-                        mpi_entered_at: None,
-                    })
-                })
-                .collect(),
+            names: RwLock::new(Vec::new()),
+            ranks: (0..size).map(|_| RankSlot::default()).collect(),
             mpi_initialized: (0..size).map(|_| AtomicBool::new(false)).collect(),
             failed_names: Mutex::new(Vec::new()),
             stats_pre_init: AtomicU64::new(0),
-            stats_registered: AtomicU64::new(0),
-            stats_starts: AtomicU64::new(0),
-            stats_stops: AtomicU64::new(0),
-            global: RwLock::new(None),
+            global: OnceLock::new(),
             finalized_report: Mutex::new(None),
             attr_cost_per_region_ns: 1_800,
             attr_depth_threshold: 4,
@@ -196,24 +195,27 @@ impl Talp {
         self.size
     }
 
+    /// One rank's state: the single lock an event takes.
+    fn rank(&self, rank: u32) -> MutexGuard<'_, RankState> {
+        #[cfg(test)]
+        tests::RANK_LOCKS.with(|c| c.set(c.get() + 1));
+        self.ranks[rank as usize].state.lock()
+    }
+
     /// `DLB_MonitoringRegionRegister`: registers (or finds) a region.
     pub fn region_register(&self, rank: u32, name: &str) -> Result<RegionHandle, TalpError> {
         if !self.mpi_initialized[rank as usize].load(Ordering::Acquire) {
             self.stats_pre_init.fetch_add(1, Ordering::Relaxed);
             return Err(TalpError::MpiNotInitialized { rank });
         }
+        // Held across the insert, so handles enter the registry in
+        // order and a handle a caller holds is always in it.
+        let mut names = self.names.write();
         match self.table.insert(name) {
             InsertOutcome::Existing(h) => Ok(RegionHandle(h)),
             InsertOutcome::Inserted(h) => {
-                let mut regions = self.regions.write();
-                debug_assert_eq!(h as usize, regions.len(), "handles are dense");
-                regions.push(Region {
-                    name: name.to_string(),
-                    per_rank: (0..self.size)
-                        .map(|_| Mutex::new(RankRegion::new()))
-                        .collect(),
-                });
-                self.stats_registered.fetch_add(1, Ordering::Relaxed);
+                debug_assert_eq!(h as usize, names.len(), "handles are dense");
+                names.push(name.to_string());
                 Ok(RegionHandle(h))
             }
             InsertOutcome::Failed => {
@@ -228,6 +230,27 @@ impl Talp {
         }
     }
 
+    /// The rank's record for `handle`. A handle beyond the rank's records
+    /// is checked against the registry once, and the records grown to
+    /// cover every region registered by then.
+    fn rank_region<'a>(
+        &self,
+        st: &'a mut RankState,
+        handle: RegionHandle,
+    ) -> Result<&'a mut RankRegion, TalpError> {
+        let h = handle.0 as usize;
+        if h >= st.regions.len() {
+            #[cfg(test)]
+            tests::REGISTRY_READS.with(|c| c.set(c.get() + 1));
+            let registered = self.names.read().len();
+            if h >= registered {
+                return Err(TalpError::UnknownHandle(handle));
+            }
+            st.regions.resize_with(registered, RankRegion::default);
+        }
+        Ok(&mut st.regions[h])
+    }
+
     /// `DLB_MonitoringRegionStart`.
     pub fn region_start(
         &self,
@@ -235,11 +258,8 @@ impl Talp {
         handle: RegionHandle,
         clock: u64,
     ) -> Result<(), TalpError> {
-        let regions = self.regions.read();
-        let region = regions
-            .get(handle.0 as usize)
-            .ok_or(TalpError::UnknownHandle(handle))?;
-        let mut rr = region.per_rank[rank as usize].lock();
+        let mut st = self.rank(rank);
+        let rr = self.rank_region(&mut st, handle)?;
         rr.enters += 1;
         rr.depth += 1;
         if rr.depth == 1 {
@@ -249,9 +269,8 @@ impl Talp {
                 rr.first_start = Some(clock);
             }
         }
-        drop(rr);
-        self.rank_state[rank as usize].lock().open.push(handle.0);
-        self.stats_starts.fetch_add(1, Ordering::Relaxed);
+        st.open.push(handle.0);
+        st.starts += 1;
         Ok(())
     }
 
@@ -262,11 +281,8 @@ impl Talp {
         handle: RegionHandle,
         clock: u64,
     ) -> Result<(), TalpError> {
-        let regions = self.regions.read();
-        let region = regions
-            .get(handle.0 as usize)
-            .ok_or(TalpError::UnknownHandle(handle))?;
-        let mut rr = region.per_rank[rank as usize].lock();
+        let mut st = self.rank(rank);
+        let rr = self.rank_region(&mut st, handle)?;
         if rr.depth == 0 {
             return Err(TalpError::NotOpen(handle));
         }
@@ -279,54 +295,60 @@ impl Talp {
             rr.useful_total += span - mpi;
             rr.last_stop = rr.last_stop.max(clock);
         }
-        drop(rr);
-        let mut st = self.rank_state[rank as usize].lock();
         if let Some(pos) = st.open.iter().rposition(|&h| h == handle.0) {
             st.open.remove(pos);
         }
-        self.stats_stops.fetch_add(1, Ordering::Relaxed);
+        st.stops += 1;
         Ok(())
     }
 
     /// Runtime query (`DLB_TALP_*`): metrics for one region, computable
     /// mid-run (open intervals are excluded).
     pub fn query(&self, handle: RegionHandle) -> Result<RegionMetrics, TalpError> {
-        let regions = self.regions.read();
-        let region = regions
-            .get(handle.0 as usize)
-            .ok_or(TalpError::UnknownHandle(handle))?;
-        Ok(Self::metrics_of(region))
+        let name = self.names.read().get(handle.0 as usize).cloned();
+        let name = name.ok_or(TalpError::UnknownHandle(handle))?;
+        let mut metrics = self.metrics_from(handle.0 as usize, vec![name]);
+        Ok(metrics.pop().expect("one name, one record"))
     }
 
-    fn metrics_of(region: &Region) -> RegionMetrics {
-        let mut useful = Vec::with_capacity(region.per_rank.len());
-        let mut mpi = Vec::with_capacity(region.per_rank.len());
-        let mut enters = 0;
-        let mut elapsed = 0u64;
-        for rr in &region.per_rank {
-            let rr = rr.lock();
-            useful.push(rr.useful_total);
-            mpi.push(rr.mpi_total);
-            enters += rr.enters;
-            if let Some(first) = rr.first_start {
-                elapsed = elapsed.max(rr.last_stop.saturating_sub(first));
+    /// Metrics of the regions `first..first + names.len()`: one pass per
+    /// rank, one lock each.
+    fn metrics_from(&self, first: usize, names: Vec<String>) -> Vec<RegionMetrics> {
+        let mut out: Vec<RegionMetrics> = names
+            .into_iter()
+            .map(|name| RegionMetrics {
+                name,
+                ranks: self.size,
+                enters: 0,
+                elapsed_ns: 0,
+                useful_per_rank: Vec::with_capacity(self.size as usize),
+                mpi_per_rank: Vec::with_capacity(self.size as usize),
+                pop: PopMetrics::compute(&[], 0),
+            })
+            .collect();
+        let unused = RankRegion::default();
+        for rank in 0..self.size {
+            let st = self.rank(rank);
+            for (i, m) in out.iter_mut().enumerate() {
+                let rr = st.regions.get(first + i).unwrap_or(&unused);
+                m.useful_per_rank.push(rr.useful_total);
+                m.mpi_per_rank.push(rr.mpi_total);
+                m.enters += rr.enters;
+                if let Some(first_start) = rr.first_start {
+                    m.elapsed_ns = m.elapsed_ns.max(rr.last_stop.saturating_sub(first_start));
+                }
             }
         }
-        let pop = PopMetrics::compute(&useful, elapsed);
-        RegionMetrics {
-            name: region.name.clone(),
-            ranks: region.per_rank.len() as u32,
-            enters,
-            elapsed_ns: elapsed,
-            useful_per_rank: useful,
-            mpi_per_rank: mpi,
-            pop,
+        for m in &mut out {
+            m.pop = PopMetrics::compute(&m.useful_per_rank, m.elapsed_ns);
         }
+        out
     }
 
     /// Metrics for all registered regions (Global first).
     pub fn all_metrics(&self) -> Vec<RegionMetrics> {
-        self.regions.read().iter().map(Self::metrics_of).collect()
+        let names = self.names.read().clone();
+        self.metrics_from(0, names)
     }
 
     /// The report computed at `MPI_Finalize`, if the run finished.
@@ -336,13 +358,18 @@ impl Talp {
 
     /// Anomaly counters.
     pub fn stats(&self) -> TalpStats {
-        TalpStats {
+        let mut stats = TalpStats {
             failed_pre_mpi_init: self.stats_pre_init.load(Ordering::Relaxed),
             unique_failed_entries: self.failed_names.lock().len() as u64,
-            registered: self.stats_registered.load(Ordering::Relaxed),
-            starts: self.stats_starts.load(Ordering::Relaxed),
-            stops: self.stats_stops.load(Ordering::Relaxed),
+            registered: self.names.read().len() as u64,
+            ..TalpStats::default()
+        };
+        for rank in 0..self.size {
+            let st = self.rank(rank);
+            stats.starts += st.starts;
+            stats.stops += st.stops;
         }
+        stats
     }
 
     /// Names the region table refused to store.
@@ -358,225 +385,59 @@ impl Talp {
 
 impl PmpiHook for Talp {
     fn pre_mpi(&self, rank: u32, _op: &MpiOp, clock: u64) {
-        self.rank_state[rank as usize].lock().mpi_entered_at = Some(clock);
+        self.rank(rank).mpi_entered_at = Some(clock);
     }
 
     fn post_mpi(&self, rank: u32, _op: &MpiOp, clock: u64) -> u64 {
-        let mut st = self.rank_state[rank as usize].lock();
+        let mut st = self.rank(rank);
         let Some(entered) = st.mpi_entered_at.take() else {
             return 0;
         };
         let spent = clock.saturating_sub(entered);
-        if spent == 0 || st.open.is_empty() {
+        if spent == 0 {
             return 0;
         }
-        let open = st.open.clone();
-        drop(st);
-        let regions = self.regions.read();
-        let mut counted = Vec::with_capacity(open.len());
-        for h in open {
+        let RankState { open, regions, .. } = &mut *st;
+        let mut counted = 0u64;
+        for (i, &h) in open.iter().enumerate() {
             // A region may be nested multiple times; attribute once.
-            if counted.contains(&h) {
+            if open[..i].contains(&h) {
                 continue;
             }
-            counted.push(h);
-            if let Some(region) = regions.get(h as usize) {
-                region.per_rank[rank as usize].lock().mpi_while_open += spent;
-            }
+            counted += 1;
+            regions[h as usize].mpi_while_open += spent;
         }
         // Bookkeeping: the first few open-region records stay cache
         // resident and are effectively free; each one beyond that is a
         // scattered record to update on every single MPI call — the
         // recurring cost that makes call-path-deep ICs expensive under
         // TALP (the openfoam-mpi pathology of Table II).
-        let n = counted.len() as u64;
-        self.attr_cost_per_region_ns * n.saturating_sub(self.attr_depth_threshold)
+        self.attr_cost_per_region_ns * counted.saturating_sub(self.attr_depth_threshold)
     }
 
     fn on_init(&self, rank: u32, clock: u64) {
         self.mpi_initialized[rank as usize].store(true, Ordering::Release);
         // Open the implicit Global region.
-        let handle = {
-            let existing = *self.global.read();
-            match existing {
-                Some(h) => h,
-                None => {
-                    let h = self
-                        .region_register(rank, "Global")
-                        .expect("global region fits in a fresh table");
-                    *self.global.write() = Some(h);
-                    h
-                }
-            }
-        };
+        let handle = *self.global.get_or_init(|| {
+            self.region_register(rank, "Global")
+                .expect("global region fits in a fresh table")
+        });
         let _ = self.region_start(rank, handle, clock);
     }
 
     fn on_finalize(&self, rank: u32, clock: u64) {
         // Close everything still open on this rank (Global included).
-        let open: Vec<u32> = {
-            let st = self.rank_state[rank as usize].lock();
-            st.open.clone()
-        };
+        let open = self.rank(rank).open.clone();
         for h in open.into_iter().rev() {
             let _ = self.region_stop(rank, RegionHandle(h), clock);
         }
-        // Last rank to finalize snapshots the report.
+        // Last rank to finalize snapshots the report: the lock is held
+        // across the snapshot, so a later finalize never loses to an
+        // earlier, staler one.
         let mut report = self.finalized_report.lock();
         *report = Some(self.all_metrics());
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn talp(ranks: u32) -> Talp {
-        let t = Talp::new(ranks, TalpConfig::default());
-        for r in 0..ranks {
-            t.on_init(r, 0);
-        }
-        t
-    }
-
-    #[test]
-    fn register_requires_mpi_init() {
-        let t = Talp::new(2, TalpConfig::default());
-        let err = t.region_register(0, "foo").unwrap_err();
-        assert_eq!(err, TalpError::MpiNotInitialized { rank: 0 });
-        assert_eq!(t.stats().failed_pre_mpi_init, 1);
-        t.on_init(0, 0);
-        assert!(t.region_register(0, "foo").is_ok());
-    }
-
-    #[test]
-    fn start_stop_accumulates_useful_time() {
-        let t = talp(1);
-        let h = t.region_register(0, "solve").unwrap();
-        t.region_start(0, h, 1_000).unwrap();
-        t.region_stop(0, h, 4_000).unwrap();
-        let m = t.query(h).unwrap();
-        assert_eq!(m.useful_per_rank[0], 3_000);
-        assert_eq!(m.mpi_per_rank[0], 0);
-        assert_eq!(m.enters, 1);
-    }
-
-    #[test]
-    fn mpi_time_attributed_to_open_regions() {
-        let t = talp(1);
-        let h = t.region_register(0, "solve").unwrap();
-        t.region_start(0, h, 0).unwrap();
-        t.pre_mpi(0, &MpiOp::Barrier, 100);
-        t.post_mpi(0, &MpiOp::Barrier, 400);
-        t.region_stop(0, h, 1_000).unwrap();
-        let m = t.query(h).unwrap();
-        assert_eq!(m.mpi_per_rank[0], 300);
-        assert_eq!(m.useful_per_rank[0], 700);
-    }
-
-    #[test]
-    fn mpi_outside_region_not_attributed() {
-        let t = talp(1);
-        let h = t.region_register(0, "solve").unwrap();
-        t.pre_mpi(0, &MpiOp::Barrier, 100);
-        t.post_mpi(0, &MpiOp::Barrier, 400);
-        t.region_start(0, h, 500).unwrap();
-        t.region_stop(0, h, 900).unwrap();
-        let m = t.query(h).unwrap();
-        assert_eq!(m.mpi_per_rank[0], 0);
-        assert_eq!(m.useful_per_rank[0], 400);
-    }
-
-    #[test]
-    fn nested_entries_count_once_for_time() {
-        let t = talp(1);
-        let h = t.region_register(0, "outer").unwrap();
-        t.region_start(0, h, 0).unwrap();
-        t.region_start(0, h, 100).unwrap(); // nested same region
-        t.region_stop(0, h, 200).unwrap();
-        t.region_stop(0, h, 1_000).unwrap();
-        let m = t.query(h).unwrap();
-        assert_eq!(m.enters, 2);
-        assert_eq!(m.useful_per_rank[0], 1_000); // outermost span only
-    }
-
-    #[test]
-    fn overlapping_regions_both_charged() {
-        let t = talp(1);
-        let a = t.region_register(0, "a").unwrap();
-        let b = t.region_register(0, "b").unwrap();
-        t.region_start(0, a, 0).unwrap();
-        t.region_start(0, b, 100).unwrap();
-        t.pre_mpi(0, &MpiOp::Barrier, 200);
-        t.post_mpi(0, &MpiOp::Barrier, 300);
-        t.region_stop(0, a, 400).unwrap();
-        t.region_stop(0, b, 500).unwrap();
-        assert_eq!(t.query(a).unwrap().mpi_per_rank[0], 100);
-        assert_eq!(t.query(b).unwrap().mpi_per_rank[0], 100);
-    }
-
-    #[test]
-    fn stop_without_start_errors() {
-        let t = talp(1);
-        let h = t.region_register(0, "x").unwrap();
-        assert_eq!(t.region_stop(0, h, 10), Err(TalpError::NotOpen(h)));
-        assert!(matches!(
-            t.region_stop(0, RegionHandle(99), 10),
-            Err(TalpError::UnknownHandle(_))
-        ));
-    }
-
-    #[test]
-    fn global_region_opens_at_init_and_closes_at_finalize() {
-        let t = talp(2);
-        t.pre_mpi(0, &MpiOp::Barrier, 500);
-        t.post_mpi(0, &MpiOp::Barrier, 800);
-        t.on_finalize(0, 10_000);
-        t.on_finalize(1, 10_000);
-        let report = t.final_report().unwrap();
-        let global = report.iter().find(|m| m.name == "Global").unwrap();
-        assert_eq!(global.elapsed_ns, 10_000);
-        assert_eq!(global.mpi_per_rank[0], 300);
-        assert_eq!(global.mpi_per_rank[1], 0);
-    }
-
-    #[test]
-    fn load_imbalance_shows_in_pop_metrics() {
-        let t = talp(2);
-        let h = t.region_register(0, "kernel").unwrap();
-        // Rank 0 computes 1000, rank 1 computes 500 then waits in MPI 500.
-        t.region_start(0, h, 0).unwrap();
-        t.region_stop(0, h, 1_000).unwrap();
-        t.region_start(1, h, 0).unwrap();
-        t.pre_mpi(1, &MpiOp::Barrier, 500);
-        t.post_mpi(1, &MpiOp::Barrier, 1_000);
-        t.region_stop(1, h, 1_000).unwrap();
-        let m = t.query(h).unwrap();
-        assert_eq!(m.useful_per_rank, vec![1_000, 500]);
-        assert!((m.pop.load_balance - 0.75).abs() < 1e-9);
-        assert!((m.pop.communication_efficiency - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn crowded_table_produces_unique_failed_entries() {
-        let cfg = TalpConfig {
-            region_table_capacity: 64,
-            probe_limit: 4,
-        };
-        let t = Talp::new(1, cfg);
-        t.on_init(0, 0);
-        let mut failures = 0;
-        for i in 0..64 {
-            if t.region_register(0, &format!("region_{i}")).is_err() {
-                failures += 1;
-            }
-        }
-        assert!(failures > 0);
-        assert_eq!(t.stats().unique_failed_entries, failures);
-        // Re-registering a failed name does not double-count uniqueness.
-        let name = t.failed_region_names()[0].clone();
-        let before = t.stats().unique_failed_entries;
-        let _ = t.region_register(0, &name);
-        assert_eq!(t.stats().unique_failed_entries, before);
-    }
-}
+mod tests;

@@ -882,3 +882,42 @@ fn warm_start_plus_churn_is_deterministic() {
     assert!(x.warm_started);
     assert!(x.log.contains("close `libaux.so`"));
 }
+
+/// Today's behaviour, pinned: the Score-P adapter's ID→address table is
+/// built once at startup, so every sled of a DSO `dlopen`ed mid-run is
+/// *unmapped* — its events cost nothing and reach no profile. They are
+/// counted, though, and the count rides on the session's run output.
+#[test]
+fn events_of_a_dso_opened_mid_run_are_counted_as_unmapped_under_scorep() {
+    let mut s = startup(
+        &churn_host_binary(),
+        DynCapiConfig {
+            tool: ToolChoice::Scorep(Default::default()),
+            ranks: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let before = s.run().unwrap();
+    assert_eq!(before.adapter_loss.scorep_events_unmapped, 0);
+    let recorded = s.scorep.as_ref().unwrap().stats().events_recorded;
+
+    let opened = s.load_dso(extra_image(0), false);
+    let oid = opened.result.expect("libextra.so loads");
+    assert!(opened.sleds_patched > 0, "xray full patches the new object");
+    let (&id, _) = (s.symbols.names.iter())
+        .find(|(id, name)| id.object() == oid && name.as_str() == "extra_fn")
+        .expect("the session resolved the new object's symbols");
+    for kind in [EventKind::Entry, EventKind::Exit] {
+        assert_eq!(s.runtime.dispatch(id, kind, 7, 0).unwrap(), 0);
+    }
+
+    let scorep = s.scorep.as_ref().unwrap();
+    assert_eq!(s.scorep_adapter.as_ref().unwrap().events_unmapped(), 2);
+    assert_eq!(scorep.stats().events_recorded, recorded);
+    assert!(!scorep.region_names().iter().any(|n| n == "extra_fn"));
+    // The host never calls into libextra.so: a second run adds nothing.
+    let after = s.run().unwrap();
+    assert_eq!(after.adapter_loss.scorep_events_unmapped, 2);
+    assert_eq!(after.adapter_loss.talp_events_dropped, 0);
+}
