@@ -1,9 +1,10 @@
 //! Criterion bench: XRay patching throughput — bulk (`patch_all`,
-//! one mprotect pair) vs per-function patching, plus DSO registration.
+//! one mprotect pair) vs one single-function `repatch` per function,
+//! plus DSO registration.
 
 use capi_bench::setup_openfoam;
 use capi_objmodel::Process;
-use capi_xray::{instrument_object, PackedId, PassOptions, TrampolineSet, XRayRuntime};
+use capi_xray::{instrument_object, PackedId, PassOptions, PatchDelta, TrampolineSet, XRayRuntime};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_patching(c: &mut Criterion) {
@@ -71,10 +72,12 @@ fn bench_patching(c: &mut Criterion) {
             |(mut process, runtime, fids)| {
                 let mut n = 0;
                 for fid in fids {
-                    let id = PackedId::pack(0, fid).expect("fits");
-                    n += runtime
-                        .patch_function(&mut process.memory, id)
-                        .expect("patch");
+                    let delta = PatchDelta {
+                        patch: vec![PackedId::pack(0, fid).expect("fits")],
+                        ..Default::default()
+                    };
+                    let rep = runtime.repatch(&mut process.memory, &delta);
+                    n += rep.expect("patch").sleds_patched;
                 }
                 n
             },

@@ -54,7 +54,7 @@ fn main() {
     // clean slate.
     let mut fixture = dispatch_fixture(funcs);
     for &fraction in &fractions {
-        fixture.unpatch_all();
+        fixture.clear_patches();
         let patched = fixture.patch_fraction(fraction);
         for &ranks in &rank_counts {
             // Keep aggregate work bounded on high-rank rows: the sweep

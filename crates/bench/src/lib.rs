@@ -532,9 +532,13 @@ impl DispatchFixture {
     }
 
     /// Unpatches everything (so fractions can be swept in sequence).
-    pub fn unpatch_all(&mut self) {
+    pub fn clear_patches(&mut self) {
+        let delta = capi_xray::PatchDelta {
+            unpatch: self.ids.clone(),
+            ..Default::default()
+        };
         self.runtime
-            .unpatch_all(&mut self.process.memory, 0)
+            .repatch(&mut self.process.memory, &delta)
             .expect("unpatches");
     }
 }

@@ -49,6 +49,5 @@ pub use inlining::{compensate_inlining, CompensationReport};
 pub use instrument::{dynamic_session, static_session, StaticBuild};
 pub use select::{select, SelectionOutcome};
 pub use workflow::{
-    profile_source_from_env, IcOutcome, InFlightOptions, InFlightOutcome, MeasureOutcome,
-    ProfileSource, Workflow,
+    profile_source_from_env, IcOutcome, InFlightOutcome, MeasureOutcome, ProfileSource, Workflow,
 };

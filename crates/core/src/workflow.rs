@@ -12,7 +12,6 @@ use crate::ic::InstrumentationConfig;
 use crate::inlining::{compensate_inlining, CompensationReport};
 use crate::instrument::dynamic_session;
 use crate::select::{select, SelectionOutcome};
-use capi_adapt::ExpansionOptions;
 use capi_appmodel::SourceProgram;
 use capi_dyncapi::{AdaptiveRun, AdaptiveRunBuilder, DynCapiError, SessionRun, ToolChoice};
 use capi_metacg::{whole_program_callgraph, CallGraph};
@@ -45,50 +44,6 @@ pub struct MeasureOutcome {
     /// Virtual turnaround cost the static workflow would have paid
     /// (full recompilation + startup).
     pub static_turnaround_ns: u64,
-}
-
-/// Options for the in-flight refinement mode.
-#[derive(Clone, Copy, Debug)]
-pub struct InFlightOptions {
-    /// Epochs the single run is divided into.
-    pub epochs: usize,
-    /// Target instrumentation overhead, percent of application time.
-    pub budget_pct: f64,
-    /// Seed for the controller's re-inclusion probing.
-    pub seed: u64,
-    /// TALP-driven expansion: when set, the controller also *grows*
-    /// instrumentation below regions whose load balance falls under
-    /// `lb_threshold` or whose communication fraction reaches
-    /// `comm_threshold` — capped by the unused overhead budget, so
-    /// trimming and growth reach a deterministic fixed point. `None`
-    /// runs the trim-only stack.
-    pub expansion: Option<ExpansionOptions>,
-}
-
-impl Default for InFlightOptions {
-    fn default() -> Self {
-        Self {
-            epochs: 8,
-            budget_pct: 5.0,
-            seed: 0x5EED,
-            expansion: None,
-        }
-    }
-}
-
-impl InFlightOptions {
-    /// The equivalent [`AdaptiveRunBuilder`] — how the deprecated
-    /// `measure_in_flight*` wrappers delegate to [`Workflow::adaptive_run`].
-    fn builder(&self) -> AdaptiveRunBuilder {
-        let mut b = AdaptiveRunBuilder::new()
-            .epochs(self.epochs)
-            .budget_pct(self.budget_pct)
-            .seed(self.seed);
-        if let Some(exp) = self.expansion {
-            b = b.expansion(exp);
-        }
-        b
-    }
 }
 
 /// Result of one in-flight refinement run: the Fig. 1 loop converging
@@ -245,50 +200,6 @@ impl Workflow {
         estimate_compile_time(&self.program, &self.compile_opts)
     }
 
-    /// Instrument + Measure + Adjust in **one** run: the session starts
-    /// from `ic`, and an epoch-based controller refines the active set
-    /// live — dropping over-budget functions, probing dropped ones, and
-    /// (with [`InFlightOptions::expansion`] set) growing instrumentation
-    /// below load-imbalanced or communication-heavy regions — with zero
-    /// restarts and zero rebuilds. Identical seeds and budgets produce
-    /// byte-identical adaptation logs.
-    ///
-    /// This method is pure (no persistence): every call is a cold
-    /// start and nothing touches disk, preserving the byte-identical
-    /// determinism contract. Cross-run persistence, demotion to sampled
-    /// instrumentation, and the redundancy-suppression band are all
-    /// knobs on [`AdaptiveRunBuilder`] — use [`Self::adaptive_run`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Workflow::adaptive_run` with an `AdaptiveRunBuilder`"
-    )]
-    pub fn measure_in_flight(
-        &self,
-        ic: &InstrumentationConfig,
-        tool: ToolChoice,
-        ranks: u32,
-        opts: InFlightOptions,
-    ) -> Result<InFlightOutcome, WorkflowError> {
-        self.adaptive_run(ic, tool, ranks, &opts.builder())
-    }
-
-    /// [`Self::measure_in_flight`] with explicit cross-run persistence
-    /// through a [`ProfileSource`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Workflow::adaptive_run` with an `AdaptiveRunBuilder` and its `profile` knob"
-    )]
-    pub fn measure_in_flight_with_profile(
-        &self,
-        ic: &InstrumentationConfig,
-        tool: ToolChoice,
-        ranks: u32,
-        opts: InFlightOptions,
-        source: &ProfileSource,
-    ) -> Result<InFlightOutcome, WorkflowError> {
-        self.adaptive_run(ic, tool, ranks, &opts.builder().profile(source.clone()))
-    }
-
     /// Instrument + Measure + Adjust in **one** run, configured by an
     /// [`AdaptiveRunBuilder`]: the session starts from `ic` (including
     /// any per-function sampling rates the IC carries), the epoch-based
@@ -331,6 +242,7 @@ impl Workflow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use capi_adapt::ExpansionOptions;
     use capi_appmodel::{LinkTarget, MpiCall, ProgramBuilder};
 
     fn program() -> SourceProgram {
@@ -587,34 +499,6 @@ mod tests {
         assert!(!ic.contains("tiny"));
         assert_eq!(ic.rate_of("step"), 1);
         assert!(ic.sampled().next().is_none());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_builder_byte_for_byte() {
-        let wf = Workflow::analyze(program(), CompileOptions::o2()).unwrap();
-        let ic = wf
-            .select_ic(r#"flops(">=", 10, loopDepth(">=", 1, %%))"#)
-            .unwrap()
-            .ic;
-        let opts = InFlightOptions {
-            epochs: 4,
-            budget_pct: 4.0,
-            seed: 11,
-            ..Default::default()
-        };
-        let old = wf
-            .measure_in_flight(&ic, ToolChoice::None, 2, opts)
-            .unwrap();
-        let runner = AdaptiveRunBuilder::new().epochs(4).budget_pct(4.0).seed(11);
-        let new = wf.adaptive_run(&ic, ToolChoice::None, 2, &runner).unwrap();
-        assert_eq!(old.log, new.log);
-        assert_eq!(old.adaptive.per_rank_ns, new.adaptive.per_rank_ns);
-        assert_eq!(old.final_ic, new.final_ic);
-        let old_p = wf
-            .measure_in_flight_with_profile(&ic, ToolChoice::None, 2, opts, &ProfileSource::None)
-            .unwrap();
-        assert_eq!(old_p.log, new.log);
     }
 
     #[test]

@@ -152,64 +152,20 @@ pub struct AdaptiveRun {
 }
 
 impl Session {
-    /// Runs the program once, split into `epochs` epochs, applying the
+    /// The epoch loop behind [`crate::AdaptiveRunBuilder`]: runs the
+    /// program once, split into `epochs` epochs, applying the
     /// controller's IC delta at every epoch boundary — zero restarts.
-    ///
     /// The controller is seeded with the session's initially patched
     /// functions and pinned on the schedule's spine (functions whose
     /// entry/exit straddle epoch boundaries).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `AdaptiveRunBuilder::run_with_controller` (or `AdaptiveRunBuilder::run`)"
-    )]
-    pub fn run_adaptive(
-        &mut self,
-        controller: &mut AdaptController,
-        epochs: usize,
-    ) -> Result<AdaptiveRun, DynCapiError> {
-        crate::AdaptiveRunBuilder::new()
-            .epochs(epochs)
-            .run_with_controller(self, controller, None)
-    }
-
-    /// [`Self::run_adaptive`] with an optional warm start: the
-    /// controller is seeded from a prior run's instrumentation profile
-    /// *before* epoch 0 — prior drops are pre-trimmed, the converged
-    /// IC's extra members pre-grown (one repatch batch, accounted into
-    /// `T_adapt`), and the profile's cost samples replace the
-    /// controller's flat expansion-cost assumption.
     ///
-    /// Profiles survive process changes: objects are matched by name +
-    /// content fingerprint (see [`Session::object_records`]), so a DSO
-    /// re-registered under a recycled XRay object ID is remapped, a
-    /// rebuilt object has its functions re-resolved by symbol name, and
-    /// records of vanished objects are discarded rather than aliased
-    /// onto whatever now owns the stale packed IDs. A requested-but-
-    /// unloadable profile ([`WarmStart::Unavailable`]) degrades to a
-    /// cold start with the reason in the adaptation log.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `AdaptiveRunBuilder::run_with_controller` (or `AdaptiveRunBuilder::run` with a profile source)"
-    )]
-    pub fn run_adaptive_warm(
-        &mut self,
-        controller: &mut AdaptController,
-        epochs: usize,
-        warm: Option<WarmStart<'_>>,
-    ) -> Result<AdaptiveRun, DynCapiError> {
-        crate::AdaptiveRunBuilder::new()
-            .epochs(epochs)
-            .run_with_controller(self, controller, warm)
-    }
-
-    /// The shared epoch loop behind every adaptive entry point.
     /// `redundancy_ppm` is forwarded to the engine each epoch;
     /// `health_cfg` parameterizes the per-epoch anomaly detectors and
     /// `baseline_events` seeds the event-volume regression detector
     /// (when `None`, a warm-start profile's prediction is used, else
     /// the detector stays inert).
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_adaptive_inner(
+    pub(crate) fn run_epoch_loop(
         &mut self,
         controller: &mut AdaptController,
         epochs: usize,
@@ -646,10 +602,12 @@ impl Session {
     /// `XRayRuntime::repatch` with errors propagated. On the lenient
     /// (lifecycle) path it is `repatch_surviving` — vanished objects
     /// are skipped and counted — and an injected environment fault
-    /// (`mprotect`) mid-batch degrades to *dropping the delta for this
-    /// epoch* instead of killing the run: the dispatch table was never
-    /// republished, the next epoch re-decides from live samples, and
-    /// the degradation is counted and logged.
+    /// (`mprotect`) mid-batch degrades instead of killing the run: the
+    /// rest of the delta is dropped for this epoch, the next epoch
+    /// re-decides from live samples, and the degradation is counted and
+    /// logged. What the batch wrote before the fault stays written and
+    /// published, so the returned report is that applied part — the
+    /// caller charges and records it like any other batch.
     #[allow(clippy::too_many_arguments)]
     fn apply_delta_resilient(
         &mut self,
@@ -663,34 +621,41 @@ impl Session {
         if !lenient {
             return Ok(self.runtime.repatch(&mut self.process.memory, delta)?);
         }
-        match self
+        let (rep, note) = match self
             .runtime
             .repatch_surviving(&mut self.process.memory, delta)
         {
-            Ok(rep) => {
-                if rep.skipped_objects > 0 || rep.skipped_entries > 0 {
-                    lc_stats.degraded_repatches += 1;
-                    if let Some(c) = lc_counters {
-                        c.record_degraded(1);
-                    }
-                    controller.log_note(&format!(
-                        "lifecycle: degraded repatch at {label} — skipped {} objects, {} entries",
-                        rep.skipped_objects, rep.skipped_entries
-                    ));
-                }
-                Ok(rep)
+            Ok(rep) if rep.skipped_objects == 0 && rep.skipped_entries == 0 => return Ok(rep),
+            Ok(rep) => (
+                rep,
+                format!(
+                    "lifecycle: degraded repatch at {label} — skipped {} objects, {} entries",
+                    rep.skipped_objects, rep.skipped_entries
+                ),
+            ),
+            Err(e @ capi_xray::XRayError::Mem { applied, .. }) => {
+                let sleds = applied.sleds_patched + applied.sleds_unpatched;
+                let outcome = if sleds == 0 {
+                    "delta dropped".to_string()
+                } else {
+                    format!(
+                        "partially applied ({sleds} sleds, {} objects)",
+                        applied.mprotect_pairs
+                    )
+                };
+                (
+                    applied,
+                    format!("lifecycle: repatch failed at {label} ({e}) — {outcome}"),
+                )
             }
-            Err(e) => {
-                lc_stats.degraded_repatches += 1;
-                if let Some(c) = lc_counters {
-                    c.record_degraded(1);
-                }
-                controller.log_note(&format!(
-                    "lifecycle: repatch failed at {label} ({e}) — delta dropped"
-                ));
-                Ok(capi_xray::RepatchReport::default())
-            }
+            Err(e) => return Err(e.into()),
+        };
+        lc_stats.degraded_repatches += 1;
+        if let Some(c) = lc_counters {
+            c.record_degraded(1);
         }
+        controller.log_note(&note);
+        Ok(rep)
     }
 
     /// Identity records of every registered XRay object: name plus a

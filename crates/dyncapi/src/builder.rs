@@ -1,12 +1,9 @@
 //! The unified adaptive-run API.
 //!
-//! [`AdaptiveRunBuilder`] collapses the former four-way entry-point
-//! split (`Session::run_adaptive`, `Session::run_adaptive_warm`,
-//! `Workflow::measure_in_flight`, `Workflow::measure_in_flight_with_profile`)
-//! into one builder: budget, epochs, expansion, profile source, and the
-//! sampling knobs (max demotion rate, redundancy-suppression band) all
-//! live in one place, and every legacy entry point is a thin deprecated
-//! wrapper over it.
+//! [`AdaptiveRunBuilder`] is the one entry point to an adaptive run:
+//! budget, epochs, expansion, profile source, and the sampling knobs
+//! (max demotion rate, redundancy-suppression band) all live in one
+//! place. `capi-core`'s `Workflow::adaptive_run` takes the same builder.
 //!
 //! ```
 //! use capi_dyncapi::{AdaptiveRunBuilder, ProfileSource};
@@ -86,9 +83,9 @@ pub struct AdaptiveOutcome {
 
 /// Builder-style configuration of one adaptive (zero-restart) run.
 ///
-/// Defaults match the former `InFlightOptions`: 8 epochs, a 5% overhead
-/// budget, seed `0x5EED`, no expansion, no demotion-to-sampled
-/// (`max_sample_rate` 0), and the session's own redundancy band.
+/// Defaults: 8 epochs, a 5% overhead budget, seed `0x5EED`, no
+/// expansion, no demotion-to-sampled (`max_sample_rate` 0), and the
+/// session's own redundancy band.
 #[derive(Clone, Debug)]
 pub struct AdaptiveRunBuilder {
     epochs: usize,
@@ -232,10 +229,23 @@ impl AdaptiveRunBuilder {
     }
 
     /// Runs the configured adaptation on `session` with a
-    /// caller-provided controller and an explicit warm start — the
-    /// primitive the deprecated `Session::run_adaptive{,_warm}` wrappers
-    /// delegate to. The builder's profile source is **ignored** on this
-    /// path; only epochs and the redundancy band apply.
+    /// caller-provided controller and an explicit warm start. The
+    /// builder's profile source is **ignored** on this path; only
+    /// epochs and the redundancy band apply.
+    ///
+    /// With a warm start the controller is seeded from a prior run's
+    /// instrumentation profile *before* epoch 0 — prior drops are
+    /// pre-trimmed, the converged IC's extra members pre-grown (one
+    /// repatch batch, accounted into `T_adapt`), and the profile's cost
+    /// samples replace the controller's flat expansion-cost assumption.
+    /// Profiles survive process changes: objects are matched by name +
+    /// content fingerprint (see [`Session::object_records`]), so a DSO
+    /// re-registered under a recycled XRay object ID is remapped, a
+    /// rebuilt object has its functions re-resolved by symbol name, and
+    /// records of vanished objects are discarded rather than aliased
+    /// onto whatever now owns the stale packed IDs. A requested-but-
+    /// unloadable profile ([`WarmStart::Unavailable`]) degrades to a
+    /// cold start with the reason in the adaptation log.
     pub fn run_with_controller(
         &self,
         session: &mut Session,
@@ -248,7 +258,7 @@ impl AdaptiveRunBuilder {
         }
         let ppm = self.redundancy_ppm.unwrap_or(session.config.redundancy_ppm);
         let health_cfg = self.health.unwrap_or_else(HealthConfig::from_env);
-        let result = session.run_adaptive_inner(
+        let result = session.run_epoch_loop(
             controller,
             self.epochs,
             warm,

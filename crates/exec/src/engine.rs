@@ -1486,7 +1486,7 @@ mod tests {
     use capi_appmodel::{LinkTarget, ProgramBuilder};
     use capi_mpisim::CostModel;
     use capi_objmodel::{compile, CompileOptions};
-    use capi_xray::{instrument_object, BasicLog, PassOptions, PatchDelta, TrampolineSet};
+    use capi_xray::{instrument_object, PassOptions, PatchDelta, ShardedLog, TrampolineSet};
 
     struct Setup {
         process: Process,
@@ -1556,8 +1556,9 @@ mod tests {
             for name in patch {
                 let fi = inst.image.function_index(name).unwrap();
                 let fid = inst.sleds.fid_of(fi).unwrap();
-                let id = capi_xray::PackedId::pack(0, fid).unwrap();
-                runtime.patch_function(&mut process.memory, id).unwrap();
+                runtime
+                    .patch_functions(&mut process.memory, 0, &[fid])
+                    .unwrap();
             }
         }
         Setup { process, runtime }
@@ -1594,7 +1595,7 @@ mod tests {
     #[test]
     fn patched_functions_dispatch_events() {
         let s = setup(true, &["kernel"]);
-        let log = Arc::new(BasicLog::new());
+        let log = Arc::new(ShardedLog::new(4));
         s.runtime.set_handler(log.clone());
         let r = run(&s, 2);
         // kernel runs 10 × 100 times per rank, entry+exit each.
@@ -1606,10 +1607,10 @@ mod tests {
     fn instrumentation_overhead_is_visible_and_ordered() {
         let vanilla = run(&setup(false, &[]), 4);
         let s_kernel = setup(true, &["kernel"]);
-        s_kernel.runtime.set_handler(Arc::new(BasicLog::new()));
+        s_kernel.runtime.set_handler(Arc::new(ShardedLog::new(4)));
         let kernel = run(&s_kernel, 4);
         let s_full = setup(true, &["main", "step", "kernel"]);
-        s_full.runtime.set_handler(Arc::new(BasicLog::new()));
+        s_full.runtime.set_handler(Arc::new(ShardedLog::new(4)));
         let full = run(&s_full, 4);
         assert!(kernel.total_ns > vanilla.total_ns);
         assert!(full.total_ns > kernel.total_ns);
@@ -1630,7 +1631,7 @@ mod tests {
     #[test]
     fn determinism() {
         let s = setup(true, &["kernel"]);
-        s.runtime.set_handler(Arc::new(BasicLog::new()));
+        s.runtime.set_handler(Arc::new(ShardedLog::new(4)));
         let a = run(&s, 4);
         let b = run(&s, 4);
         assert_eq!(a.per_rank_ns, b.per_rank_ns);
@@ -1656,7 +1657,7 @@ mod tests {
     #[test]
     fn epoch_runs_chain_to_exactly_one_monolithic_run() {
         let s = setup(true, &["kernel", "step"]);
-        s.runtime.set_handler(Arc::new(BasicLog::new()));
+        s.runtime.set_handler(Arc::new(ShardedLog::new(4)));
         let engine = Engine::prepare(&s.process, &s.runtime, OverheadModel::default()).unwrap();
         let whole = engine.run(&World::new(4, CostModel::default())).unwrap();
 
@@ -1689,7 +1690,7 @@ mod tests {
     #[test]
     fn epoch_samples_report_per_function_costs() {
         let s = setup(true, &["kernel"]);
-        s.runtime.set_handler(Arc::new(BasicLog::new()));
+        s.runtime.set_handler(Arc::new(ShardedLog::new(4)));
         let engine = Engine::prepare(&s.process, &s.runtime, OverheadModel::default()).unwrap();
         let world = World::new(2, CostModel::default());
         let out = engine
@@ -1709,7 +1710,7 @@ mod tests {
     #[test]
     fn epoch_talp_samples_capture_imbalance_and_mpi() {
         let s = setup(true, &["step", "kernel"]);
-        s.runtime.set_handler(Arc::new(BasicLog::new()));
+        s.runtime.set_handler(Arc::new(ShardedLog::new(4)));
         let engine = Engine::prepare(&s.process, &s.runtime, OverheadModel::default()).unwrap();
         let world = World::new(4, CostModel::default());
         let out = engine
@@ -1757,7 +1758,7 @@ mod tests {
     #[test]
     fn sampled_rate_reduces_events_and_extrapolates_visits() {
         let mut s = setup(true, &["kernel"]);
-        let log = Arc::new(BasicLog::new());
+        let log = Arc::new(ShardedLog::new(4));
         s.runtime.set_handler(log.clone());
         let id = packed(&s, "kernel");
         s.runtime
@@ -1808,7 +1809,7 @@ mod tests {
     fn rate_one_is_byte_identical_to_full_instrumentation() {
         let run_with = |explicit_rate_one: bool| {
             let mut s = setup(true, &["kernel", "step"]);
-            let log = Arc::new(BasicLog::new());
+            let log = Arc::new(ShardedLog::new(4));
             s.runtime.set_handler(log.clone());
             if explicit_rate_one {
                 let ids = vec![(packed(&s, "kernel"), 1), (packed(&s, "step"), 1)];
@@ -1824,12 +1825,9 @@ mod tests {
             }
             let engine = Engine::prepare(&s.process, &s.runtime, OverheadModel::default()).unwrap();
             let r = engine.run(&World::new(4, CostModel::default())).unwrap();
-            // Ranks run on threads, so the shared log interleaves
-            // nondeterministically; a stable sort by rank recovers each
-            // rank's (deterministic) event sequence.
-            let mut events = log.events();
-            events.sort_by_key(|e| e.rank);
-            (r, events)
+            // Ranks run on threads; the sink's rank-major merge recovers
+            // each rank's (deterministic) event sequence.
+            (r, log.events())
         };
         let (full, full_log) = run_with(false);
         let (sampled_one, sampled_log) = run_with(true);
@@ -1846,7 +1844,7 @@ mod tests {
     #[test]
     fn redundancy_band_suppresses_steady_durations() {
         let s = setup(true, &["kernel"]);
-        let log = Arc::new(BasicLog::new());
+        let log = Arc::new(ShardedLog::new(4));
         s.runtime.set_handler(log.clone());
         let engine = Engine::prepare(&s.process, &s.runtime, OverheadModel::default())
             .unwrap()

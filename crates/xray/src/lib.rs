@@ -22,9 +22,30 @@
 //!   behind one atomic pointer, with dynamically claimed cache-padded
 //!   per-thread reader slots for the in-flight guards and counters (the
 //!   full publish/quiescence protocol is documented on the module).
-//! * [`log`] — XRay's built-in modes: a basic in-memory trace and a
-//!   flight-data-recorder-style ring buffer, plus their per-rank
-//!   sharded variants with deterministic `(rank, seq)` merges.
+//! * [`log`] — XRay's built-in modes as one per-rank sharded sink,
+//!   [`ShardedLog`], with two retentions (keep everything, or a ring of
+//!   each rank's newest records) and one deterministic rank-major merge.
+//!
+//! ## One way to mutate
+//!
+//! Sled state changes through a [`PatchDelta`] handed to
+//! [`XRayRuntime::repatch`] (unknown IDs fail the batch) or
+//! [`XRayRuntime::repatch_surviving`] (unknown IDs are skipped and
+//! counted). XRay's C API spells as deltas, with `ids` the object's
+//! packed IDs and `id` one of them:
+//!
+//! | XRay call | `PatchDelta` |
+//! |---|---|
+//! | `__xray_patch()` | `{ patch: ids, .. }` per object — or [`XRayRuntime::patch_all`], the same batch without building the ID list |
+//! | `__xray_unpatch()` | `{ unpatch: ids, .. }` |
+//! | `__xray_patch_function(id)` | `{ patch: vec![id], .. }` |
+//! | `__xray_unpatch_function(id)` | `{ unpatch: vec![id], .. }` |
+//!
+//! [`XRayRuntime::patch_all`] and [`XRayRuntime::patch_functions`] are
+//! the startup forms (one object, by function ID); they build the same
+//! per-object change list and run the same private core as `repatch`,
+//! so every form pays one page-flip pair per object that has something
+//! to rewrite, bumps the generation once, and publishes once.
 
 pub mod dispatch;
 pub mod handler;
@@ -38,7 +59,7 @@ pub mod trampoline;
 
 pub use dispatch::{DispatchTable, ObjectDispatch};
 pub use handler::{Event, EventKind, Handler};
-pub use log::{BasicLog, FdrBuffer, ShardedFdr, ShardedLog};
+pub use log::ShardedLog;
 pub use packed_id::{IdError, PackedId, FUNC_BITS, MAX_FUNCTION_ID, MAX_OBJECT_ID, OBJ_BITS};
 pub use pass::{instrument_object, InstrumentedObject, PassOptions, PassStats};
 pub use runtime::{

@@ -1,93 +1,30 @@
-//! XRay's built-in logging modes.
+//! XRay's built-in logging modes, as one sink.
 //!
 //! The real XRay ships pre-existing handler modes (paper §V-A: "XRay
 //! provides a few different pre-existing modes, each defining their own
-//! handler functions"). Two are reproduced, each in a single-mutex and a
-//! per-rank sharded flavor:
+//! handler functions"): *basic* mode appends every event to a trace, and
+//! *flight-data-recorder* mode keeps a fixed-size ring of encoded records
+//! in which the newest events overwrite the oldest, bounding memory for
+//! long runs. Both are [`ShardedLog`]; they differ only in retention:
 //!
-//! * [`BasicLog`] — basic mode: append every event to an in-memory trace.
-//! * [`FdrBuffer`] — flight-data-recorder mode: a fixed-size ring buffer
-//!   of encoded records; the newest events overwrite the oldest, bounding
-//!   memory for long runs.
-//! * [`ShardedLog`] / [`ShardedFdr`] — the multi-rank hot-path variants:
-//!   every rank appends to its own cache-padded shard, so concurrent
-//!   ranks never contend on a shared lock or cache line. A deterministic
-//!   merge (stable order: rank, then per-rank sequence number) makes
-//!   [`ShardedLog::events`] byte-identical across runs whenever each
-//!   rank's own event stream is deterministic — the property the live
-//!   adaptation tests assert.
+//! * [`ShardedLog::new`]`(ranks)` keeps everything (basic mode),
+//! * [`ShardedLog::ring`]`(ranks, records)` keeps each rank's newest
+//!   `records` events (FDR mode).
+//!
+//! Every rank appends 17-byte encoded records to its own cache-padded
+//! shard, so concurrent ranks never contend on a shared lock or cache
+//! line, and a chatty rank cannot evict a quiet rank's records. One
+//! deterministic merge (stable order: rank, then per-rank append order)
+//! makes [`ShardedLog::events`] byte-identical across runs whenever each
+//! rank's own event stream is deterministic — the property the live
+//! adaptation tests assert.
 
 use crate::handler::{Event, EventKind, Handler};
 use crate::packed_id::PackedId;
 use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::Mutex;
-use std::sync::Arc;
 
-/// Basic-mode in-memory trace log.
-///
-/// Events live behind `Mutex<Arc<Vec<_>>>` so [`BasicLog::events`] holds
-/// the lock only for an `Arc` clone (O(1)) and deep-copies *outside* it.
-/// The steady-state push mutates in place; the first push racing a
-/// still-live snapshot pays the deep copy instead (`Arc::make_mut`),
-/// under the lock — the copy cost moves from every `events()` call to
-/// at most one append per outstanding snapshot. For contention-free
-/// multi-rank appends use [`ShardedLog`].
-#[derive(Default)]
-pub struct BasicLog {
-    events: Mutex<Arc<Vec<Event>>>,
-    /// Virtual cost per event in ns (basic mode writes a record; modelled
-    /// as a small constant).
-    pub cost_ns: u64,
-}
-
-impl BasicLog {
-    /// Creates an empty log with the default per-event cost.
-    pub fn new() -> Self {
-        Self {
-            events: Mutex::new(Arc::new(Vec::new())),
-            cost_ns: 25,
-        }
-    }
-
-    /// Snapshot of all recorded events. The clone happens outside the
-    /// lock, so this call itself blocks concurrent ranks for O(1); the
-    /// next append while the snapshot is alive pays the copy instead.
-    pub fn events(&self) -> Vec<Event> {
-        let snapshot = Arc::clone(&self.events.lock());
-        snapshot.as_slice().to_vec()
-    }
-
-    /// Runs `f` over the recorded events without cloning any of them —
-    /// what tests should use to assert on the trace.
-    pub fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
-        let snapshot = Arc::clone(&self.events.lock());
-        f(&snapshot)
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-
-    /// Clears the log.
-    pub fn clear(&self) {
-        *self.events.lock() = Arc::new(Vec::new());
-    }
-}
-
-impl Handler for BasicLog {
-    fn on_event(&self, event: Event) -> u64 {
-        Arc::make_mut(&mut *self.events.lock()).push(event);
-        self.cost_ns
-    }
-}
-
-/// Size of one encoded FDR record:
+/// Size of one encoded record:
 /// 4 (packed id) + 1 (kind) + 8 (tsc) + 4 (rank) bytes.
 const RECORD_BYTES: usize = 17;
 
@@ -122,122 +59,81 @@ fn decode_records(buf: &[u8], out: &mut Vec<Event>) {
     }
 }
 
-/// Flight-data-recorder mode: bounded ring buffer of encoded events.
-pub struct FdrBuffer {
-    inner: Mutex<FdrInner>,
-    capacity_records: usize,
+/// One cache-padded shard. The padding keeps rank R's append from
+/// invalidating rank R±1's cache line; the per-shard mutex exists only
+/// to satisfy `&self` interior mutability — with one rank per shard it
+/// is never contended, so the append path never waits.
+#[repr(align(64))]
+struct Shard {
+    inner: Mutex<ShardInner>,
 }
 
-struct FdrInner {
+struct ShardInner {
+    /// Encoded records, oldest first.
     buf: BytesMut,
-    /// Total events ever written (for overwrite accounting).
+    /// Events ever appended (≥ retained under ring retention).
     written: u64,
 }
 
-impl FdrBuffer {
-    /// Creates a buffer retaining at most `capacity_records` events.
-    pub fn new(capacity_records: usize) -> Self {
-        assert!(capacity_records > 0, "FDR buffer needs capacity");
-        Self {
-            inner: Mutex::new(FdrInner {
-                buf: BytesMut::with_capacity(capacity_records * RECORD_BYTES),
-                written: 0,
-            }),
-            capacity_records,
-        }
-    }
-
-    /// Decodes the retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        let inner = self.inner.lock();
-        let mut out = Vec::with_capacity(inner.buf.len() / RECORD_BYTES);
-        decode_records(&inner.buf, &mut out);
-        out
-    }
-
-    /// Total events written over the buffer's lifetime (≥ retained).
-    pub fn total_written(&self) -> u64 {
-        self.inner.lock().written
-    }
-
-    /// Events currently retained.
-    pub fn retained(&self) -> usize {
-        self.inner.lock().buf.len() / RECORD_BYTES
+impl ShardInner {
+    fn retained(&self) -> usize {
+        self.buf.len() / RECORD_BYTES
     }
 }
 
-impl Handler for FdrBuffer {
-    fn on_event(&self, event: Event) -> u64 {
-        let mut inner = self.inner.lock();
-        if inner.buf.len() >= self.capacity_records * RECORD_BYTES {
-            // Drop the oldest record.
-            inner.buf.advance(RECORD_BYTES);
-        }
-        encode_record(&mut inner.buf, &event);
-        inner.written += 1;
-        15 // FDR is cheaper than basic mode: fixed-size encode, no realloc
-    }
-}
-
-/// One cache-padded shard of a sharded sink. The padding keeps rank R's
-/// append from invalidating rank R±1's cache line; the per-shard mutex
-/// exists only to satisfy `&self` interior mutability — with one rank
-/// per shard it is never contended, so the append path never waits.
-#[repr(align(64))]
-struct Shard<T> {
-    inner: Mutex<T>,
-}
-
-impl<T> Shard<T> {
-    fn new(value: T) -> Self {
-        Self {
-            inner: Mutex::new(value),
-        }
-    }
-}
-
-struct LogShard {
-    /// `(per-rank sequence number, event)` in append order.
-    events: Vec<(u64, Event)>,
-    next_seq: u64,
-}
-
-/// Basic-mode trace sharded by rank: each rank appends to its own
+/// The event sink, sharded by rank: each rank appends to its own
 /// cache-padded buffer, and [`ShardedLog::events`] merges them in the
-/// deterministic order (rank, per-rank sequence number). Two runs whose
+/// deterministic order (rank, per-rank append order). Two runs whose
 /// per-rank streams are identical therefore produce byte-identical
 /// merged traces, regardless of how the rank threads interleaved.
 pub struct ShardedLog {
-    shards: Box<[Shard<LogShard>]>,
-    /// Virtual cost per event in ns (same record write as [`BasicLog`]).
+    shards: Box<[Shard]>,
+    /// Per-shard retention in records; `None` keeps everything.
+    ring_records: Option<usize>,
+    /// Virtual cost per event in ns: 25 for the growing trace, 15 for
+    /// the ring (fixed-size encode, no realloc).
     pub cost_ns: u64,
 }
 
 impl ShardedLog {
-    /// Creates a log with one shard per expected rank. Ranks beyond
-    /// `ranks` fold onto shards modulo the shard count — appends then
-    /// contend on the shared shard, but the merge stays deterministic:
-    /// [`Self::events`] stable-sorts by rank, which restores rank-major
-    /// order and each rank's own append order regardless of how folded
-    /// ranks interleaved. Sizing to the world's rank count gives the
-    /// contention-free fast path.
+    /// Creates a log with one shard per expected rank that keeps every
+    /// event. Ranks beyond `ranks` fold onto shards modulo the shard
+    /// count — appends then contend on the shared shard, but the merge
+    /// stays deterministic: [`Self::events`] stable-sorts by rank, which
+    /// restores rank-major order and each rank's own append order
+    /// regardless of how folded ranks interleaved. Sizing to the world's
+    /// rank count gives the contention-free fast path.
     pub fn new(ranks: u32) -> Self {
-        let n = ranks.max(1) as usize;
+        Self::with_retention(ranks, None, 25)
+    }
+
+    /// Creates a flight-data-recorder-style log: each rank's shard is a
+    /// ring retaining its newest `records` events. Folded ranks (see
+    /// [`Self::new`]) share a ring; ordering stays rank-major, but
+    /// *which* records the shared ring retains then depends on how the
+    /// folded ranks interleaved — size to the world's rank count to
+    /// keep retention deterministic.
+    pub fn ring(ranks: u32, records: usize) -> Self {
+        assert!(records > 0, "ring retention needs capacity");
+        Self::with_retention(ranks, Some(records), 15)
+    }
+
+    fn with_retention(ranks: u32, ring_records: Option<usize>, cost_ns: u64) -> Self {
+        let shard = || Shard {
+            inner: Mutex::new(ShardInner {
+                buf: BytesMut::with_capacity(ring_records.unwrap_or(0) * RECORD_BYTES),
+                written: 0,
+            }),
+        };
         Self {
-            shards: (0..n)
-                .map(|_| {
-                    Shard::new(LogShard {
-                        events: Vec::new(),
-                        next_seq: 0,
-                    })
-                })
-                .collect(),
-            cost_ns: 25,
+            shards: (0..ranks.max(1)).map(|_| shard()).collect(),
+            ring_records,
+            cost_ns,
         }
     }
 
     #[inline]
-    fn shard(&self, rank: u32) -> &Shard<LogShard> {
+    fn shard(&self, rank: u32) -> &Shard {
         &self.shards[rank as usize % self.shards.len()]
     }
 
@@ -246,19 +142,14 @@ impl ShardedLog {
         self.shards.len()
     }
 
-    /// Deterministically merged trace: rank order, each rank's events in
-    /// its own append (sequence) order. The stable sort is a no-op scan
-    /// when every rank owns its shard, and restores determinism when
-    /// ranks were folded onto shared shards.
+    /// Deterministically merged trace of the retained events: rank
+    /// order, each rank's events oldest first. The stable sort is a
+    /// no-op scan when every rank owns its shard, and restores
+    /// determinism when ranks were folded onto shared shards.
     pub fn events(&self) -> Vec<Event> {
         let mut out = Vec::with_capacity(self.len());
         for shard in self.shards.iter() {
-            let guard = shard.inner.lock();
-            debug_assert!(
-                guard.events.windows(2).all(|w| w[0].0 < w[1].0),
-                "per-shard sequence numbers are strictly increasing"
-            );
-            out.extend(guard.events.iter().map(|&(_, e)| e));
+            decode_records(&shard.inner.lock().buf, &mut out);
         }
         // Stable: preserves each rank's per-shard append order.
         out.sort_by_key(|e| e.rank);
@@ -271,38 +162,38 @@ impl ShardedLog {
         f(&self.events())
     }
 
-    /// Events of one rank, in its append order (filtered by the event's
-    /// actual rank, so folded shards do not leak co-owners' events).
+    /// Retained events of one rank, oldest first (filtered by the
+    /// event's actual rank, so folded shards do not leak co-owners'
+    /// events).
     pub fn rank_events(&self, rank: u32) -> Vec<Event> {
-        self.shard(rank)
-            .inner
-            .lock()
-            .events
-            .iter()
-            .filter(|(_, e)| e.rank == rank)
-            .map(|&(_, e)| e)
-            .collect()
+        let mut out = Vec::new();
+        decode_records(&self.shard(rank).inner.lock().buf, &mut out);
+        out.retain(|e| e.rank == rank);
+        out
     }
 
-    /// Total recorded events across all shards.
+    /// Events currently retained across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.inner.lock().events.len())
-            .sum()
+        self.shards.iter().map(|s| s.inner.lock().retained()).sum()
     }
 
-    /// Whether no shard recorded anything.
+    /// Whether no shard retains anything.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.inner.lock().events.is_empty())
+        self.len() == 0
     }
 
-    /// Clears every shard (sequence numbers restart at 0).
+    /// Total events appended across all shards (≥ [`Self::len`] once a
+    /// ring has wrapped).
+    pub fn total_written(&self) -> u64 {
+        self.shards.iter().map(|s| s.inner.lock().written).sum()
+    }
+
+    /// Clears every shard.
     pub fn clear(&self) {
         for s in self.shards.iter() {
             let mut guard = s.inner.lock();
-            guard.events.clear();
-            guard.next_seq = 0;
+            guard.buf.clear();
+            guard.written = 0;
         }
     }
 }
@@ -310,93 +201,13 @@ impl ShardedLog {
 impl Handler for ShardedLog {
     fn on_event(&self, event: Event) -> u64 {
         let mut shard = self.shard(event.rank).inner.lock();
-        let seq = shard.next_seq;
-        shard.next_seq += 1;
-        shard.events.push((seq, event));
-        self.cost_ns
-    }
-}
-
-struct FdrShard {
-    buf: BytesMut,
-    written: u64,
-}
-
-/// Flight-data-recorder mode sharded by rank: each rank owns a
-/// cache-padded ring of `capacity_records` encoded events, and the merge
-/// decodes every ring and stable-sorts by rank (each rank oldest-first).
-/// The retention guarantee becomes per rank — a chatty rank can no
-/// longer evict a quiet rank's records, which also makes the merged
-/// trace deterministic for deterministic per-rank streams.
-///
-/// Ranks beyond the shard count fold onto shared rings; ordering stays
-/// rank-major, but *which* records the shared ring retains then depends
-/// on how the folded ranks interleaved — size the recorder to the
-/// world's rank count to keep retention deterministic.
-pub struct ShardedFdr {
-    shards: Box<[Shard<FdrShard>]>,
-    capacity_records: usize,
-}
-
-impl ShardedFdr {
-    /// Creates a recorder with one ring of `capacity_records` events per
-    /// rank.
-    pub fn new(ranks: u32, capacity_records: usize) -> Self {
-        assert!(capacity_records > 0, "FDR buffer needs capacity");
-        let n = ranks.max(1) as usize;
-        Self {
-            shards: (0..n)
-                .map(|_| {
-                    Shard::new(FdrShard {
-                        buf: BytesMut::with_capacity(capacity_records * RECORD_BYTES),
-                        written: 0,
-                    })
-                })
-                .collect(),
-            capacity_records,
-        }
-    }
-
-    #[inline]
-    fn shard(&self, rank: u32) -> &Shard<FdrShard> {
-        &self.shards[rank as usize % self.shards.len()]
-    }
-
-    /// Decodes the retained events: rank order, oldest first per rank
-    /// (stable sort, a no-op scan when every rank owns its ring).
-    pub fn events(&self) -> Vec<Event> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let guard = shard.inner.lock();
-            decode_records(&guard.buf, &mut out);
-        }
-        out.sort_by_key(|e| e.rank);
-        out
-    }
-
-    /// Total events written across all shards (≥ retained).
-    pub fn total_written(&self) -> u64 {
-        self.shards.iter().map(|s| s.inner.lock().written).sum()
-    }
-
-    /// Events currently retained across all shards.
-    pub fn retained(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.inner.lock().buf.len() / RECORD_BYTES)
-            .sum()
-    }
-}
-
-impl Handler for ShardedFdr {
-    fn on_event(&self, event: Event) -> u64 {
-        let mut shard = self.shard(event.rank).inner.lock();
-        if shard.buf.len() >= self.capacity_records * RECORD_BYTES {
+        if self.ring_records == Some(shard.retained()) {
+            // Drop the oldest record.
             shard.buf.advance(RECORD_BYTES);
         }
         encode_record(&mut shard.buf, &event);
         shard.written += 1;
-        15 // same fixed-size encode as the single-ring FDR
+        self.cost_ns
     }
 }
 
@@ -418,38 +229,8 @@ mod tests {
     }
 
     #[test]
-    fn basic_log_records_in_order() {
-        let log = BasicLog::new();
-        log.on_event(ev(1, EventKind::Entry, 10));
-        log.on_event(ev(1, EventKind::Exit, 20));
-        let evs = log.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].tsc, 10);
-        assert_eq!(evs[1].kind, EventKind::Exit);
-        log.clear();
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn basic_log_with_events_avoids_cloning_and_sees_pushes() {
-        let log = BasicLog::new();
-        log.on_event(ev(1, EventKind::Entry, 10));
-        // A snapshot taken while another is alive stays consistent.
-        let total = log.with_events(|evs| {
-            assert_eq!(evs.len(), 1);
-            evs.iter().map(|e| e.tsc).sum::<u64>()
-        });
-        assert_eq!(total, 10);
-        // Pushing after a snapshot was handed out must not disturb it.
-        let snapshot = log.events();
-        log.on_event(ev(1, EventKind::Exit, 20));
-        assert_eq!(snapshot.len(), 1);
-        assert_eq!(log.len(), 2);
-    }
-
-    #[test]
     fn fdr_round_trips_encoding() {
-        let fdr = FdrBuffer::new(8);
+        let fdr = ShardedLog::ring(4, 8);
         fdr.on_event(ev(42, EventKind::Entry, 123));
         fdr.on_event(ev(42, EventKind::TailExit, 456));
         let evs = fdr.events();
@@ -463,11 +244,11 @@ mod tests {
 
     #[test]
     fn fdr_overwrites_oldest_when_full() {
-        let fdr = FdrBuffer::new(3);
+        let fdr = ShardedLog::ring(1, 3);
         for i in 0..10u64 {
             fdr.on_event(ev(i as u32, EventKind::Entry, i));
         }
-        assert_eq!(fdr.retained(), 3);
+        assert_eq!(fdr.len(), 3);
         assert_eq!(fdr.total_written(), 10);
         let evs = fdr.events();
         let tscs: Vec<u64> = evs.iter().map(|e| e.tsc).collect();
@@ -477,7 +258,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "capacity")]
     fn fdr_zero_capacity_panics() {
-        let _ = FdrBuffer::new(0);
+        let _ = ShardedLog::ring(2, 0);
     }
 
     #[test]
@@ -518,22 +299,16 @@ mod tests {
 
     #[test]
     fn sharded_fdr_retains_per_rank_and_merges_deterministically() {
-        let fdr = ShardedFdr::new(2, 2);
+        let fdr = ShardedLog::ring(2, 2);
         // Rank 0 is chatty, rank 1 writes once: rank 1's record survives.
         for i in 0..5u64 {
             fdr.on_event(rev(0, 1, EventKind::Entry, i));
         }
         fdr.on_event(rev(1, 2, EventKind::Entry, 100));
         assert_eq!(fdr.total_written(), 6);
-        assert_eq!(fdr.retained(), 3); // 2 from rank 0's ring + 1 from rank 1
+        assert_eq!(fdr.len(), 3); // 2 from rank 0's ring + 1 from rank 1
         let evs = fdr.events();
         let order: Vec<(u32, u64)> = evs.iter().map(|e| (e.rank, e.tsc)).collect();
         assert_eq!(order, vec![(0, 3), (0, 4), (1, 100)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn sharded_fdr_zero_capacity_panics() {
-        let _ = ShardedFdr::new(2, 0);
     }
 }

@@ -20,7 +20,7 @@
 use capi_appmodel::{LinkTarget, ProgramBuilder};
 use capi_objmodel::{compile, CompileOptions, Process};
 use capi_xray::{
-    instrument_object, BasicLog, Event, EventKind, PackedId, PassOptions, PatchDelta, ShardedLog,
+    instrument_object, Event, EventKind, PackedId, PassOptions, PatchDelta, ShardedLog,
     TrampolineSet, XRayRuntime,
 };
 use proptest::prelude::*;
@@ -109,6 +109,15 @@ fn registered_fixture(dso_count: usize) -> (Process, XRayRuntime, Vec<u32>) {
     (process, runtime, funcs)
 }
 
+/// `__xray_patch_function(id)` as the delta it is.
+fn patch_one(runtime: &XRayRuntime, process: &mut Process, id: PackedId) {
+    let delta = PatchDelta {
+        patch: vec![id],
+        ..PatchDelta::default()
+    };
+    runtime.repatch(&mut process.memory, &delta).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -159,7 +168,7 @@ proptest! {
             prev = cur;
         }
         // A handler-only publish shares *every* object entry.
-        runtime.set_handler(Arc::new(BasicLog::new()));
+        runtime.set_handler(Arc::new(ShardedLog::new(1)));
         let cur = runtime.published_table();
         for (a, b) in prev.objects.iter().zip(cur.objects.iter()) {
             match (a, b) {
@@ -167,6 +176,80 @@ proptest! {
                 (None, None) => {}
                 _ => prop_assert!(false),
             }
+        }
+    }
+
+    /// The forms that survive are the same mutation: every `patch_all` /
+    /// `patch_functions` call on runtime A, replayed on twin runtime B
+    /// as the `PatchDelta` it spells, leaves both with the same patch
+    /// state and rates at the same generation for the same memory
+    /// traffic — and on both the copy-on-write snapshot matches the
+    /// full-rebuild oracle. Shared unpatch / rate deltas in between
+    /// keep giving the patch forms something to do.
+    #[test]
+    fn startup_forms_are_the_patch_delta_they_spell(seed in any::<u64>()) {
+        let (mut process_a, a, funcs) = registered_fixture(3);
+        let (mut process_b, b, _) = registered_fixture(3);
+        let mut next = splitmix(seed);
+        for _ in 0..16 {
+            let oid = (next() % funcs.len() as u64) as u8;
+            let pack = |fid: u32| PackedId::pack(oid, fid).unwrap();
+            let mut pick = |n: u64| -> Vec<u32> {
+                (0..n).map(|_| (next() % u64::from(funcs[oid as usize])) as u32).collect()
+            };
+            match pick(1)[0] % 4 {
+                0 => {
+                    let written = a.patch_all(&mut process_a.memory, oid).unwrap();
+                    let delta = PatchDelta {
+                        patch: (0..funcs[oid as usize]).map(pack).collect(),
+                        ..PatchDelta::default()
+                    };
+                    let rep = b.repatch(&mut process_b.memory, &delta).unwrap();
+                    prop_assert_eq!(u64::from(written), rep.sleds_patched);
+                }
+                1 => {
+                    // 0–3 fids, repeats allowed.
+                    let count = u64::from(pick(1)[0] % 4);
+                    let fids = pick(count);
+                    let written = a.patch_functions(&mut process_a.memory, oid, &fids).unwrap();
+                    let delta = PatchDelta {
+                        patch: fids.iter().copied().map(pack).collect(),
+                        ..PatchDelta::default()
+                    };
+                    let rep = b.repatch(&mut process_b.memory, &delta).unwrap();
+                    prop_assert_eq!(u64::from(written), rep.sleds_patched);
+                }
+                shared => {
+                    let ids = pick(2);
+                    let delta = if shared == 2 {
+                        PatchDelta {
+                            unpatch: ids.into_iter().map(pack).collect(),
+                            ..PatchDelta::default()
+                        }
+                    } else {
+                        PatchDelta {
+                            set_rate: vec![(pack(ids[0]), ids[1] + 2)],
+                            ..PatchDelta::default()
+                        }
+                    };
+                    let rep_a = a.repatch(&mut process_a.memory, &delta).unwrap();
+                    let rep_b = b.repatch(&mut process_b.memory, &delta).unwrap();
+                    prop_assert_eq!(rep_a, rep_b);
+                }
+            }
+            let snap_a = format!("{:?}", a.snapshot());
+            prop_assert_eq!(&snap_a, &format!("{:?}", a.snapshot_full_rebuild()));
+            prop_assert_eq!(
+                format!("{:?}", b.snapshot()),
+                format!("{:?}", b.snapshot_full_rebuild())
+            );
+            // Generation, patch state and rates, object by object.
+            prop_assert_eq!(snap_a, format!("{:?}", b.snapshot()));
+            prop_assert_eq!(a.patched_ids(), b.patched_ids());
+            let (mem_a, mem_b) = (process_a.memory.stats, process_b.memory.stats);
+            prop_assert_eq!(mem_a.mprotect_calls, mem_b.mprotect_calls);
+            prop_assert_eq!(mem_a.bytes_written, mem_b.bytes_written);
+            prop_assert_eq!(a.stats().sled_writes, b.stats().sled_writes);
         }
     }
 }
@@ -183,7 +266,7 @@ fn publisher_completes_past_64_ranks_with_overlapping_windows() {
     const RANKS: u32 = 68;
     let (mut process, runtime, _) = registered_fixture(1);
     let id = PackedId::pack(0, 0).unwrap();
-    runtime.patch_function(&mut process.memory, id).unwrap();
+    patch_one(&runtime, &mut process, id);
     let stop = AtomicBool::new(false);
     let start = Barrier::new(RANKS as usize + 1);
     // A recording handler would accumulate events without bound under
@@ -257,7 +340,7 @@ fn stale_accounting_exact_past_64_ranks() {
     const K: u64 = 50;
     let (mut process, runtime, _) = registered_fixture(1);
     let id = PackedId::pack(0, 0).unwrap();
-    runtime.patch_function(&mut process.memory, id).unwrap();
+    patch_one(&runtime, &mut process, id);
     let g0 = runtime.snapshot().generation;
     let phase = Barrier::new(RANKS as usize + 1);
     std::thread::scope(|scope| {
@@ -282,7 +365,11 @@ fn stale_accounting_exact_past_64_ranks() {
         }
         phase.wait(); // start A
         phase.wait(); // end A
-        runtime.unpatch_function(&mut process.memory, id).unwrap();
+        let unpatch = PatchDelta {
+            unpatch: vec![id],
+            ..PatchDelta::default()
+        };
+        runtime.repatch(&mut process.memory, &unpatch).unwrap();
         phase.wait(); // start B
     });
     let stats = runtime.stats();
@@ -304,7 +391,7 @@ fn stale_accounting_exact_past_64_ranks() {
 fn slot_recycling_folds_counters_exactly_once() {
     let (mut process, runtime, _) = registered_fixture(1);
     let id = PackedId::pack(0, 0).unwrap();
-    runtime.patch_function(&mut process.memory, id).unwrap();
+    patch_one(&runtime, &mut process, id);
     std::thread::scope(|scope| {
         scope
             .spawn(|| {
@@ -492,7 +579,7 @@ fn high_rank_stress_deterministic_128_ranks() {
     let run = || {
         let (mut process, runtime, _) = registered_fixture(1);
         let id = PackedId::pack(0, 0).unwrap();
-        runtime.patch_function(&mut process.memory, id).unwrap();
+        patch_one(&runtime, &mut process, id);
         let log = Arc::new(ShardedLog::new(128));
         runtime.set_handler(Arc::clone(&log) as Arc<dyn capi_xray::Handler>);
         std::thread::scope(|scope| {

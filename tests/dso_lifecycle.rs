@@ -68,7 +68,9 @@ fn dso_register_patch_unload_reregister() {
         .fid_of(dso_inst.image.function_index("plugin_entry").unwrap())
         .unwrap();
     let id = PackedId::pack(oid, fid).unwrap();
-    runtime.patch_function(&mut process.memory, id).unwrap();
+    runtime
+        .patch_functions(&mut process.memory, id.object(), &[id.function()])
+        .unwrap();
     assert!(runtime.dispatch(id, EventKind::Entry, 0, 0).is_ok());
 
     // Unload: deregister + dlclose; dispatch must now fail cleanly.
@@ -192,7 +194,9 @@ fn dso_hot_swap_invalidates_controller_drop_records() {
             .fid_of(dso_inst.image.function_index("plugin_entry").unwrap())
             .unwrap();
         let stale = PackedId::pack(oid, fid).unwrap();
-        runtime.patch_function(&mut process.memory, stale).unwrap();
+        runtime
+            .patch_functions(&mut process.memory, stale.object(), &[stale.function()])
+            .unwrap();
 
         let mut controller = probe_every_epoch();
         controller.begin([(stale, "plugin_entry")]);
@@ -483,7 +487,9 @@ fn absolute_trampolines_in_dso_fault_pic_works() {
         )
         .unwrap();
     let id = PackedId::pack(oid, 0).unwrap();
-    runtime.patch_function(&mut process.memory, id).unwrap();
+    runtime
+        .patch_functions(&mut process.memory, id.object(), &[id.function()])
+        .unwrap();
     assert!(matches!(
         runtime.dispatch(id, EventKind::Entry, 0, 0),
         Err(XRayError::Fault(_))

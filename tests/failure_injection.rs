@@ -344,6 +344,54 @@ fn fault_mprotect_degrades_the_repatch_and_run_completes() {
     assert!(out.adaptive.events > 0, "the run completed");
 }
 
+/// The same fault one object later: epoch 0's delta drops functions in
+/// the executable *and* the plugin, and the fault hits the third
+/// `mprotect` — the plugin's first flip, after the executable's pair
+/// completed. The executable's part was written and published, so the
+/// epoch is charged for it, its record carries it, and the log says
+/// what was applied instead of "delta dropped".
+#[test]
+fn fault_on_a_later_mprotect_reports_and_charges_the_applied_part() {
+    let bin = faultable_binary();
+    let mut session = capi_dyncapi::startup(
+        &bin,
+        capi_dyncapi::DynCapiConfig {
+            tool: capi_dyncapi::ToolChoice::Talp(Default::default()),
+            ranks: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let active_before = session.runtime.patched_functions();
+    let mut plan = FaultPlan::new();
+    plan.push(
+        session.process.memory.stats.mprotect_calls + 2,
+        FaultKind::MprotectFail,
+    );
+    let out = AdaptiveRunBuilder::new()
+        .epochs(4)
+        .budget_pct(0.5)
+        .lifecycle(LifecycleScript::new().fault_plan(plan))
+        .run(&mut session)
+        .unwrap();
+    assert_eq!(session.process.memory.mprotect_faults_fired().len(), 1);
+    assert_eq!(out.adaptive.lifecycle.unwrap().degraded_repatches, 1);
+    let epoch0 = &out.adaptive.records[0];
+    assert!(epoch0.sleds_unpatched > 0, "the executable's drops landed");
+    assert!(epoch0.adapt_ns > 0, "and the epoch pays for them");
+    let line = format!(
+        "partially applied ({} sleds, 1 objects)",
+        epoch0.sleds_patched + epoch0.sleds_unpatched
+    );
+    assert!(out.log.contains(&line), "log lacks `{line}`:\n{}", out.log);
+    assert!(!out.log.contains("delta dropped"));
+    // Some, not all, of the four drops took effect: the plugin's is the
+    // part the fault cut off.
+    assert!(epoch0.active_after < active_before);
+    assert!(epoch0.active_after > active_before - 4);
+    assert!(out.adaptive.events > 0, "the run completed");
+}
+
 /// A plan-driven unload race (no script op, just the seeded plan)
 /// closes the most recently loaded DSO between decision and repatch;
 /// the degradation is observable in telemetry and the log.

@@ -5,7 +5,7 @@
 use capi_appmodel::{LinkTarget, ProgramBuilder, SourceProgram};
 use capi_metacg::{local_callgraph, merge, whole_program_callgraph};
 use capi_objmodel::{compile, CompileOptions, Process};
-use capi_xray::{instrument_object, PackedId, PassOptions, TrampolineSet, XRayRuntime};
+use capi_xray::{instrument_object, PackedId, PassOptions, PatchDelta, TrampolineSet, XRayRuntime};
 use proptest::prelude::*;
 
 /// Strategy: a random acyclic program with `n` functions in up to three
@@ -119,8 +119,13 @@ proptest! {
             .unwrap();
         let first = runtime.patch_all(&mut process.memory, 0).unwrap();
         prop_assert_eq!(runtime.patched_functions() > 0, first > 0);
-        let removed = runtime.unpatch_all(&mut process.memory, 0).unwrap();
-        prop_assert_eq!(first, removed);
+        // `__xray_unpatch` as a delta: unpatch everything that is patched.
+        let everything = PatchDelta {
+            unpatch: runtime.patched_ids(),
+            ..PatchDelta::default()
+        };
+        let removed = runtime.repatch(&mut process.memory, &everything).unwrap();
+        prop_assert_eq!(u64::from(first), removed.sleds_unpatched);
         prop_assert_eq!(runtime.patched_functions(), 0);
         let second = runtime.patch_all(&mut process.memory, 0).unwrap();
         prop_assert_eq!(first, second);

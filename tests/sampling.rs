@@ -13,7 +13,7 @@ use capi::{dynamic_session, InstrumentationConfig, InstrumentationMode};
 use capi_appmodel::{LinkTarget, MpiCall, ProgramBuilder};
 use capi_dyncapi::ToolChoice;
 use capi_objmodel::{compile, Binary, CompileOptions};
-use capi_xray::{BasicLog, Event};
+use capi_xray::{Event, ShardedLog};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -82,19 +82,16 @@ struct RunResult {
 
 fn run_with_ic(bin: &Binary, ic: &InstrumentationConfig, ranks: u32) -> RunResult {
     let session = dynamic_session(bin, ic, ToolChoice::None, ranks).expect("session starts");
-    let log = Arc::new(BasicLog::new());
+    let log = Arc::new(ShardedLog::new(ranks));
     session.runtime.set_handler(log.clone());
     let out = session.run().expect("runs");
-    // Ranks run on threads, so the shared log interleaves
-    // nondeterministically; a stable sort by rank recovers each rank's
-    // (deterministic) event sequence.
-    let mut events = log.events();
-    events.sort_by_key(|e| e.rank);
+    // Ranks run on threads; the sink's rank-major merge recovers each
+    // rank's (deterministic) event sequence.
     RunResult {
         per_rank_ns: out.run.per_rank_ns,
         events: out.run.events,
         sampled_skips: out.run.sampled_skips,
-        log: events,
+        log: log.events(),
     }
 }
 

@@ -1,7 +1,7 @@
-//! Sharded event sinks under concurrency: zero lost events while the
+//! The sharded event sink under concurrency: zero lost events while the
 //! controller repatches mid-run, byte-identical merged logs across
 //! seeded runs, and the merge-order equivalence property against the
-//! single-mutex log.
+//! arrival order — for both retentions (keep everything, per-rank ring).
 
 use capi::{dynamic_session, Workflow};
 use capi_dyncapi::ToolChoice;
@@ -9,9 +9,7 @@ use capi_exec::{Engine, OverheadModel};
 use capi_mpisim::{CostModel, World};
 use capi_objmodel::CompileOptions;
 use capi_workloads::quickstart_app;
-use capi_xray::{
-    BasicLog, Event, EventKind, Handler, PackedId, PatchDelta, ShardedFdr, ShardedLog,
-};
+use capi_xray::{Event, EventKind, Handler, PackedId, PatchDelta, ShardedLog};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -86,8 +84,8 @@ fn concurrent_repatch_sharded_sink_no_lost_events_deterministic_merge() {
     assert!(log_a.windows(2).all(|w| w[0].rank <= w[1].rank));
 }
 
-/// The sharded FDR retains per rank and merges just as deterministically
-/// under the same disturbance.
+/// Ring retention (FDR mode) retains per rank and merges just as
+/// deterministically under the same disturbance.
 #[test]
 fn concurrent_repatch_sharded_fdr_deterministic() {
     let run = || {
@@ -101,7 +99,7 @@ fn concurrent_repatch_sharded_fdr_deterministic() {
         let mut session = dynamic_session(&wf.binary, &ic, ToolChoice::None, ranks).unwrap();
         let runtime = session.runtime.clone();
         let toggled = runtime.patched_ids();
-        let sink = Arc::new(ShardedFdr::new(ranks, 256));
+        let sink = Arc::new(ShardedLog::ring(ranks, 256));
         runtime.set_handler(sink.clone());
         let engine = Engine::prepare(&session.process, &runtime, OverheadModel::default()).unwrap();
         let stop = AtomicBool::new(false);
@@ -164,31 +162,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// For ANY arrival interleaving, the sharded merge equals the
-    /// single-mutex log's arrival order stably re-sorted by rank — i.e.
-    /// sharding changes *where* events are buffered, never *which*
-    /// events exist or their per-rank order.
+    /// arrival order stably re-sorted by rank — i.e. sharding changes
+    /// *where* events are buffered, never *which* events exist or their
+    /// per-rank order.
     #[test]
     fn sharded_merge_equals_rank_stable_mutex_order(
         ranks in 1u32..6,
         arrivals in proptest::collection::vec(any::<u16>(), 0..300),
     ) {
         let sharded = ShardedLog::new(ranks);
-        let mutexed = BasicLog::new();
+        let mut expected: Vec<Event> = Vec::new();
         for (step, &draw) in arrivals.iter().enumerate() {
             let rank = u32::from(draw) % ranks;
             let fid = u32::from(draw >> 8);
             let ev = event_for(rank, fid, step as u64);
             sharded.on_event(ev);
-            mutexed.on_event(ev);
+            expected.push(ev);
         }
-        let mut expected = mutexed.events();
         // Stable sort: per-rank relative (sequence) order is preserved.
         expected.sort_by_key(|e| e.rank);
         prop_assert_eq!(sharded.events(), expected);
         prop_assert_eq!(sharded.len(), arrivals.len());
     }
 
-    /// The sharded FDR equals per-rank tails of the same streams: each
+    /// Ring retention equals per-rank tails of the same streams: each
     /// rank retains its newest `cap` events independently of how chatty
     /// the other ranks were.
     #[test]
@@ -197,7 +194,7 @@ proptest! {
         cap in 1usize..8,
         arrivals in proptest::collection::vec(any::<u16>(), 0..200),
     ) {
-        let fdr = ShardedFdr::new(ranks, cap);
+        let fdr = ShardedLog::ring(ranks, cap);
         let mut per_rank: Vec<Vec<Event>> = vec![Vec::new(); ranks as usize];
         for (step, &draw) in arrivals.iter().enumerate() {
             let rank = u32::from(draw) % ranks;
@@ -209,6 +206,7 @@ proptest! {
             .iter()
             .flat_map(|evs| evs.iter().skip(evs.len().saturating_sub(cap)).copied())
             .collect();
+        prop_assert_eq!(fdr.len(), expected.len());
         prop_assert_eq!(fdr.events(), expected);
         prop_assert_eq!(fdr.total_written(), arrivals.len() as u64);
     }
