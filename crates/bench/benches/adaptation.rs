@@ -1,15 +1,19 @@
 //! Criterion bench: in-flight adaptation primitives — batch `repatch`
-//! throughput (the epoch-boundary hot path), the controller's per-epoch
-//! decision cost at scale, and the TALP expansion stack's decision cost
-//! over a wide imbalanced region set.
+//! throughput (the epoch-boundary hot path), `Engine::prepare` on a fresh
+//! load state against a rebind on an unchanged one, the controller's
+//! per-epoch decision cost at scale, and the TALP expansion stack's
+//! decision cost over a wide imbalanced region set.
 
 use capi_adapt::{
     AdaptConfig, AdaptController, CallChildren, EpochView, ExpansionOptions, FuncSample,
     RegionSample,
 };
+use capi_bench::{session_for, Variant};
+use capi_dyncapi::ToolChoice;
+use capi_exec::{Engine, OverheadModel};
 use capi_objmodel::Process;
 use capi_xray::{instrument_object, PackedId, PassOptions, PatchDelta, TrampolineSet, XRayRuntime};
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 fn bench_adaptation(c: &mut Criterion) {
     let setup = capi_bench::setup_openfoam(6_000);
@@ -63,6 +67,25 @@ fn bench_adaptation(c: &mut Criterion) {
                     .sleds_patched
             })
         });
+    }
+
+    // What an epoch boundary pays to see its repatch: `first` prepares
+    // on a process nobody has bound yet (name resolution included),
+    // `rebind` on one whose bindings carry over (patch overlay, quiet
+    // analysis and schedule only).
+    {
+        let session = session_for(&setup, &Variant::XrayInactive, ToolChoice::None, 1);
+        let prepare = |process: &Process| {
+            Engine::prepare(process, &session.runtime, OverheadModel::default())
+                .expect("prepares")
+                .epoch_loop_trips()
+        };
+        // A clone of a never-bound process is never-bound.
+        let unbound = session.process.clone();
+        group.bench_function("prepare/first", |b| {
+            b.iter_batched(|| unbound.clone(), |p| prepare(&p), BatchSize::LargeInput)
+        });
+        group.bench_function("prepare/rebind", |b| b.iter(|| prepare(&session.process)));
     }
 
     // Controller decision over a 4,096-sample epoch view.

@@ -261,7 +261,9 @@ impl Session {
             }
             // Re-prepare against the current patch state: the snapshot
             // and quiet-subtree analysis pick up the last delta (and,
-            // at epoch 0, the warm-start batch).
+            // at epoch 0, the warm-start batch). The call bindings come
+            // from the process and are rebuilt only when a lifecycle op
+            // (or an unload race) changed what is loaded.
             let mut engine = if lenient {
                 Engine::prepare_lenient(&self.process, &self.runtime, self.config.overhead)
             } else {
@@ -269,6 +271,8 @@ impl Session {
             }
             .map_err(DynCapiError::Exec)?
             .with_redundancy_ppm(redundancy_ppm);
+            #[cfg(test)]
+            tests::note_bindings(self.process.bindings());
             lc_stats.unresolved_calls = lc_stats.unresolved_calls.max(engine.unresolved_calls());
             if let Some(t) = &tel {
                 engine = engine.with_telemetry(t.clone());
@@ -834,11 +838,39 @@ pub fn efficiency_summary(report: &EfficiencyReport) -> Vec<capi_persist::Region
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::LifecycleOp;
     use crate::startup::{startup, DynCapiConfig, ToolChoice};
+    use crate::{AdaptiveRunBuilder, ProfileSource};
     use capi_adapt::AdaptConfig;
     use capi_appmodel::{LinkTarget, MpiCall, ProgramBuilder};
-    use capi_objmodel::{compile, CompileOptions};
+    use capi_objmodel::{compile, Bindings, CompileOptions};
     use capi_scorep::FilterFile;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// The distinct call bindings the epoch loop's prepares ran on,
+        /// on this thread. [`capi_objmodel::Process::bindings`] resolves
+        /// names once per `Arc` it hands out, so the length is the
+        /// number of whole-program binding passes a run paid: the unit
+        /// of work counted instead of timing. (Held, not just counted,
+        /// so a freed allocation's address cannot come back.)
+        static BINDINGS_SEEN: RefCell<Vec<Arc<Bindings>>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn note_bindings(b: &Arc<Bindings>) {
+        BINDINGS_SEEN.with_borrow_mut(|seen| {
+            if !seen.last().is_some_and(|last| Arc::ptr_eq(last, b)) {
+                seen.push(Arc::clone(b));
+            }
+        });
+    }
+
+    /// Binding passes `run` paid on this thread.
+    fn binds_during<T>(run: impl FnOnce() -> T) -> (usize, T) {
+        BINDINGS_SEEN.with_borrow_mut(Vec::clear);
+        let out = run();
+        (BINDINGS_SEEN.with_borrow(Vec::len), out)
+    }
 
     fn binary() -> capi_objmodel::Binary {
         let mut b = ProgramBuilder::new("adaptapp");
@@ -929,6 +961,54 @@ mod tests {
         assert!(run.adapt_ns > 0, "repatching was accounted");
         assert!(run.total_ns >= run.init_ns + run.adapt_ns);
         assert!(c.render_log().contains("drop tiny_hot"));
+    }
+
+    /// A loadable plugin nothing in [`binary`] calls.
+    fn plugin_image() -> Arc<capi_objmodel::Object> {
+        let mut b = ProgramBuilder::new("plugin");
+        b.unit("m.cc", LinkTarget::Executable);
+        b.function("main")
+            .main()
+            .statements(10)
+            .calls("plugin_fn", 1)
+            .finish();
+        b.unit("p.cc", LinkTarget::Dso("libplugin.so".into()));
+        b.function("plugin_fn")
+            .statements(30)
+            .instructions(250)
+            .cost(700)
+            .finish();
+        let bin = compile(&b.build().unwrap(), &CompileOptions::o2()).unwrap();
+        Arc::new(bin.dsos[0].clone())
+    }
+
+    #[test]
+    fn a_run_binds_once_per_load_state_not_once_per_epoch() {
+        let run = |builder: AdaptiveRunBuilder| {
+            let mut s = session();
+            binds_during(|| builder.epochs(12).seed(3).run(&mut s).unwrap())
+        };
+        // Twelve prepares, eleven repatches between them, one bind.
+        let (binds, cold) = run(AdaptiveRunBuilder::new());
+        assert_eq!(cold.adaptive.records.len(), 12);
+        assert!(cold.adaptive.adapt_ns > 0, "the run did repatch");
+        assert_eq!(binds, 1);
+        // Warm: a thirteenth prepare after the seeding repatch, same bind.
+        let (binds, warm) =
+            run(AdaptiveRunBuilder::new().profile(ProfileSource::Inline(cold.profile)));
+        assert!(warm.warm_started);
+        assert_eq!(binds, 1);
+        // Churn: the open (epoch 1) and the close (epoch 3) each change
+        // what is loaded; the refused close at epoch 5 does not.
+        let script = LifecycleScript::new()
+            .image(plugin_image())
+            .at(1, LifecycleOp::Open("libplugin.so".into()))
+            .at(3, LifecycleOp::Close("libplugin.so".into()))
+            .at(5, LifecycleOp::Close("libplugin.so".into()));
+        let (binds, churn) = run(AdaptiveRunBuilder::new().lifecycle(script));
+        let stats = churn.adaptive.lifecycle.unwrap();
+        assert_eq!((stats.opened, stats.closed), (1, 1));
+        assert_eq!(binds, 3);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 
 use capi_appmodel::MpiCall;
 use capi_mpisim::{MpiError, MpiOp, World};
-use capi_objmodel::{DispatchKind, Process};
+use capi_objmodel::{Bindings, BoundFunc, FuncKey, Process};
 use capi_obs::{GaugeId, RecordKind, Telemetry};
-use capi_xray::{EventKind, PackedId, PatchSnapshot, XRayError, XRayRuntime};
-use std::collections::{HashMap, HashSet};
+use capi_xray::{EventKind, PackedId, XRayError, XRayRuntime};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -105,30 +105,20 @@ pub struct RunReport {
     pub suppressed_events: u64,
 }
 
-/// Dense function key: index into the engine's flat `funcs` array.
-/// Precomputed at preparation time as `obj_base[loader object index] +
-/// function index`, so the per-trip hot path pays a single bounds check
-/// and no nested `Vec<Vec<_>>` pointer chase.
-type Fi = u32;
+/// Dense function key: the process' [`Bindings`] number the loaded
+/// functions, and every per-function table of the engine is flat-indexed
+/// by that key, so the per-trip hot path pays a single bounds check and
+/// no nested `Vec<Vec<_>>` pointer chase.
+type Fi = FuncKey;
 
-struct RFunc {
-    name: String,
-    body_cost: u64,
-    imbalance_pct: u32,
-    mpi: Option<MpiOp>,
-    sites: Vec<RSite>,
-    /// (packed id available, patched) from the snapshot; None = no sled.
-    sled: Option<(capi_xray::PackedId, bool)>,
-    /// Sampling rate (1-in-N) from the snapshot; 1 = full instrumentation.
+/// A function's sled as the patch snapshot saw it — the only
+/// per-function state that depends on what is patched.
+#[derive(Clone, Copy)]
+struct Sled {
+    id: PackedId,
+    patched: bool,
+    /// Sampling rate (1-in-N); 1 = full instrumentation.
     rate: u32,
-}
-
-struct RSite {
-    /// Call targets as dense flat indices.
-    targets: Vec<Fi>,
-    #[allow(dead_code)]
-    dispatch: DispatchKind,
-    trips: u64,
 }
 
 fn convert_mpi(c: MpiCall) -> MpiOp {
@@ -146,18 +136,22 @@ fn convert_mpi(c: MpiCall) -> MpiOp {
 
 /// A prepared execution engine over a loaded, instrumented process.
 ///
-/// Preparation resolves every call site to dense `(object, function)`
-/// keys and snapshots the patch state; `run` then replays the program on
-/// every rank of a [`World`].
+/// Preparation takes the process' call [`Bindings`] (resolved once per
+/// load state, shared) and lays the current patch state over them;
+/// `run` then replays the program on every rank of a [`World`].
 pub struct Engine<'p> {
     runtime: &'p XRayRuntime,
     model: OverheadModel,
-    /// Flat function table, dense-key indexed (see [`Fi`]).
-    funcs: Vec<RFunc>,
+    /// Everything that depends only on what is loaded: call-site
+    /// targets, body costs, MPI stubs, names.
+    bindings: Arc<Bindings>,
     /// Entry point.
     main: Fi,
-    /// Patch-state snapshot taken at preparation time.
-    snapshot: PatchSnapshot,
+    /// Per-function sled state from the snapshot taken at preparation
+    /// time; `None` = no sled.
+    sleds: Vec<Option<Sled>>,
+    /// Generation of that snapshot.
+    generation: u64,
     /// Quiet = subtree has no MPI and no patched sled: memoizable.
     quiet: Vec<bool>,
     /// Epoch schedule: the program linearized around its progress loop.
@@ -165,9 +159,6 @@ pub struct Engine<'p> {
     /// Redundancy-suppression band in parts per million; 0 disables the
     /// band entirely (byte-identical to a build without it).
     redundancy_ppm: u32,
-    /// Call-site target references that resolved to no loaded object and
-    /// were dropped ([`Engine::prepare_lenient`]); 0 on the strict path.
-    unresolved_calls: u64,
     /// Self-telemetry wiring ([`Engine::with_telemetry`]); epoch spans
     /// and per-epoch event-volume gauges. `None` costs nothing.
     obs: Option<ExecObs>,
@@ -185,6 +176,13 @@ struct ExecObs {
 
 impl<'p> Engine<'p> {
     /// Prepares an engine for the current state of `process`/`runtime`.
+    ///
+    /// Cheap to repeat: the call bindings come from
+    /// [`Process::bindings`], which resolves names once per load state,
+    /// so a second `prepare` on an unchanged process only re-reads the
+    /// patch state (snapshot, per-function sled overlay, quiet-subtree
+    /// analysis, epoch schedule). After a `dlopen`/`dlclose` the next
+    /// `prepare` rebinds.
     pub fn prepare(
         process: &Process,
         runtime: &'p XRayRuntime,
@@ -214,76 +212,40 @@ impl<'p> Engine<'p> {
         model: OverheadModel,
         lenient: bool,
     ) -> Result<Self, ExecError> {
+        let bindings = Arc::clone(process.bindings());
+        match bindings.unresolved().first() {
+            Some((caller, callee)) if !lenient => {
+                return Err(ExecError::UnresolvedCall {
+                    caller: bindings.function(*caller).name.clone(),
+                    callee: callee.clone(),
+                })
+            }
+            _ => {}
+        }
+        let main = bindings.main().ok_or(ExecError::NoMain)?;
         let snapshot = runtime.snapshot();
-        // Dense keys: functions of loader object `pi` occupy the flat
-        // range `obj_base[pi]..obj_base[pi] + functions.len()`, in
-        // ascending loader-index order.
-        let loaded: Vec<(usize, &capi_objmodel::LoadedObject)> = process.loaded().collect();
-        let max_obj = loaded.iter().map(|(pi, _)| pi + 1).max().unwrap_or(0);
-        let mut obj_base = vec![0u32; max_obj];
-        let mut next = 0u32;
-        for (pi, lo) in &loaded {
-            obj_base[*pi] = next;
-            next += lo.image.functions.len() as u32;
+        let mut sleds = Vec::with_capacity(bindings.num_functions());
+        for o in bindings.objects() {
+            sleds.extend((0..o.image.functions.len() as u32).map(|fi| {
+                snapshot.lookup(o.index, fi).map(|(id, patched)| Sled {
+                    id,
+                    patched,
+                    rate: snapshot.sample_rate(o.index, fi),
+                })
+            }));
         }
-        // Name resolution in dynamic-linker order, done once.
-        let mut by_name: HashMap<&str, Fi> = HashMap::new();
-        for (pi, lo) in &loaded {
-            for (fi, f) in lo.image.functions.iter().enumerate() {
-                by_name
-                    .entry(f.name.as_str())
-                    .or_insert(obj_base[*pi] + fi as u32);
-            }
-        }
-        let mut unresolved_calls = 0u64;
-        let mut funcs: Vec<RFunc> = Vec::with_capacity(next as usize);
-        for (pi, lo) in &loaded {
-            for (fi, f) in lo.image.functions.iter().enumerate() {
-                let mut sites = Vec::with_capacity(f.call_sites.len());
-                for s in &f.call_sites {
-                    let mut targets = Vec::with_capacity(s.targets.len());
-                    for t in &s.targets {
-                        match by_name.get(t.as_str()).copied() {
-                            Some(key) => targets.push(key),
-                            None if lenient => unresolved_calls += 1,
-                            None => {
-                                return Err(ExecError::UnresolvedCall {
-                                    caller: f.name.clone(),
-                                    callee: t.clone(),
-                                })
-                            }
-                        }
-                    }
-                    sites.push(RSite {
-                        targets,
-                        dispatch: s.dispatch,
-                        trips: s.trips,
-                    });
-                }
-                funcs.push(RFunc {
-                    name: f.name.clone(),
-                    body_cost: f.body_cost_ns,
-                    imbalance_pct: f.imbalance_pct,
-                    mpi: f.mpi.map(convert_mpi),
-                    sites,
-                    sled: snapshot.lookup(*pi, fi as u32),
-                    rate: snapshot.sample_rate(*pi, fi as u32),
-                });
-            }
-        }
-        let main = *by_name.get("main").ok_or(ExecError::NoMain)?;
-        let quiet = compute_quiet(&funcs);
-        let schedule = build_schedule(&funcs, main);
+        let quiet = compute_quiet(&bindings, &sleds);
+        let schedule = build_schedule(&bindings, main);
         Ok(Self {
             runtime,
             model,
-            funcs,
+            bindings,
             main,
-            snapshot,
+            sleds,
+            generation: snapshot.generation,
             quiet,
             schedule,
             redundancy_ppm: 0,
-            unresolved_calls,
             obs: None,
         })
     }
@@ -291,7 +253,7 @@ impl<'p> Engine<'p> {
     /// Call-site target references dropped by [`Self::prepare_lenient`]
     /// because their symbol no longer resolved (0 for strict prepares).
     pub fn unresolved_calls(&self) -> u64 {
-        self.unresolved_calls
+        self.bindings.unresolved().len() as u64
     }
 
     /// Enables redundancy suppression: once a function's invocation
@@ -308,7 +270,8 @@ impl<'p> Engine<'p> {
     /// Wires the run's telemetry: each [`Self::run_epoch`] then records
     /// an `exec.epoch` span and per-epoch event-volume gauges. Gauge
     /// registration is idempotent by name, so re-preparing the engine
-    /// every epoch (the adaptation loop does) reuses the same slots.
+    /// every epoch (the adaptation loop does, to pick up the boundary's
+    /// repatch) reuses the same slots.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.obs = Some(ExecObs {
             g_events: tel.gauge("exec.epoch_events"),
@@ -323,18 +286,15 @@ impl<'p> Engine<'p> {
     /// run. False keeps the fast path literally identical to a build
     /// without sampling.
     fn sampling_state(&self) -> Option<SamplingState> {
-        let need = self.redundancy_ppm > 0
-            || self
-                .funcs
-                .iter()
-                .any(|rf| rf.rate > 1 && matches!(rf.sled, Some((_, true))));
-        need.then(|| SamplingState::new(self.funcs.len()))
+        let need =
+            self.redundancy_ppm > 0 || self.sleds.iter().flatten().any(|s| s.patched && s.rate > 1);
+        need.then(|| SamplingState::new(self.sleds.len()))
     }
 
     /// Generation of the patch-state snapshot this engine was prepared
     /// with; stale if the runtime has changed since.
     pub fn snapshot_generation(&self) -> u64 {
-        self.snapshot.generation
+        self.generation
     }
 
     /// Runs `main` on every rank of `world` and reports clocks.
@@ -350,10 +310,11 @@ impl<'p> Engine<'p> {
             self.runtime.register_reader(ctx.rank);
             let mut rank_state = RankRun {
                 engine: self,
+                b: &self.bindings,
                 world: &ctx.world,
                 rank: ctx.rank,
                 ranks: ctx.world.size(),
-                memo: vec![None; self.funcs.len()],
+                memo: vec![None; self.sleds.len()],
                 events: 0,
                 nops: 0,
                 depth_cutoffs: 0,
@@ -401,15 +362,17 @@ impl<'p> Engine<'p> {
         self.schedule
             .spine
             .iter()
-            .filter_map(|&k| self.funcs[k as usize].sled.map(|(id, _)| id))
+            .filter_map(|&k| self.sleds[k as usize].map(|s| s.id))
             .collect()
     }
 
     /// Runs one epoch of the schedule on every rank, starting each rank
     /// at its clock from the previous epoch. Running epochs `0..total`
     /// back to back over one [`World`] is exactly one program run —
-    /// except the caller may repatch sleds (and re-`prepare` the engine)
-    /// at every boundary, which is what in-flight adaptation does.
+    /// except the caller may repatch sleds at every boundary and
+    /// re-`prepare` the engine to see them (the bindings carry over; only
+    /// the patch overlay is rebuilt), which is what in-flight adaptation
+    /// does.
     pub fn run_epoch(
         &self,
         world: &Arc<World>,
@@ -450,15 +413,16 @@ impl<'p> Engine<'p> {
             self.runtime.register_reader(ctx.rank);
             let mut rr = RankRun {
                 engine: self,
+                b: &self.bindings,
                 world: &ctx.world,
                 rank: ctx.rank,
                 ranks: ctx.world.size(),
-                memo: vec![None; self.funcs.len()],
+                memo: vec![None; self.sleds.len()],
                 events: 0,
                 nops: 0,
                 depth_cutoffs: 0,
-                costs: Some(vec![(0, 0); self.funcs.len()]),
-                regions: Some(RegionTrack::new(self.funcs.len())),
+                costs: Some(vec![(0, 0); self.sleds.len()]),
+                regions: Some(RegionTrack::new(self.sleds.len())),
                 samp: self.sampling_state(),
             };
             let mut clock = start_clocks[ctx.rank as usize];
@@ -475,18 +439,19 @@ impl<'p> Engine<'p> {
                 }
                 let r = match *step {
                     Step::Enter(key) => rr.enter_function(key, clock),
-                    Step::Site { key, site, depth } => {
-                        let trips = self.funcs[key as usize].sites[site].trips;
-                        rr.run_site(key, site, 0, trips, clock, depth)
+                    Step::Site { site, depth } => {
+                        rr.run_site(site, 0, self.bindings.trips(site), clock, depth)
                     }
-                    Step::Loop { key, site, depth } => {
-                        rr.run_site(key, site, trips_lo, trips_hi, clock, depth)
+                    Step::Loop { site, depth } => {
+                        rr.run_site(site, trips_lo, trips_hi, clock, depth)
                     }
                     Step::Mpi(key) => {
-                        let op = self.funcs[key as usize]
+                        let call = self
+                            .bindings
+                            .func(key)
                             .mpi
                             .expect("Mpi step only for MPI functions");
-                        rr.mpi_op(op, clock)
+                        rr.mpi_op(call, clock)
                     }
                     Step::Exit(key) => rr.exit_function(key, clock),
                 };
@@ -533,7 +498,7 @@ impl<'p> Engine<'p> {
         let mut per_rank = Vec::with_capacity(ranks);
         let (mut events, mut nops, mut cutoffs, mut busy) = (0u64, 0u64, 0u64, 0u64);
         let (mut skips, mut suppressed) = (0u64, 0u64);
-        let mut merged: Vec<(u64, u64)> = vec![(0, 0); self.funcs.len()];
+        let mut merged: Vec<(u64, u64)> = vec![(0, 0); self.sleds.len()];
         let mut region_cells: Vec<Vec<RegionCell>> = Vec::with_capacity(ranks);
         for (rank, (res, ev, np, dc, costs, cells, (sk, su))) in results.into_iter().enumerate() {
             let end = res?;
@@ -562,25 +527,25 @@ impl<'p> Engine<'p> {
             if visits == 0 {
                 continue;
             }
-            let Some((id, _)) = self.funcs[f].sled else {
+            let Some(sled) = self.sleds[f] else {
                 continue;
             };
             inst_ns += inst;
-            let rate = self.funcs[f].rate.max(1);
+            let rate = sled.rate.max(1);
             samples.push(FuncCostSample {
-                id,
+                id: sled.id,
                 // Under sampling only every N-th invocation is observed;
                 // extrapolate back to the true visit count. Rate 1 is
                 // exact (and byte-identical to the unsampled build).
                 visits: visits * rate as u64,
                 inst_ns: inst,
-                body_cost_ns: self.funcs[f].body_cost,
+                body_cost_ns: self.bindings.func(f as Fi).body_cost_ns,
                 rate,
             });
         }
         let mut talp_samples = Vec::new();
-        for f in 0..self.funcs.len() {
-            let Some((id, _)) = self.funcs[f].sled else {
+        for (f, sled) in self.sleds.iter().enumerate() {
+            let Some(sled) = sled else {
                 continue;
             };
             let enters: u64 = region_cells.iter().map(|c| c[f].enters).sum();
@@ -599,8 +564,8 @@ impl<'p> Engine<'p> {
                 }
             }
             talp_samples.push(RegionCostSample {
-                id,
-                name: self.funcs[f].name.clone(),
+                id: sled.id,
+                name: self.bindings.function(f as Fi).name.clone(),
                 enters,
                 elapsed_ns: elapsed,
                 useful_per_rank: useful,
@@ -645,17 +610,17 @@ impl<'p> Engine<'p> {
     /// down to the hot subtree by iterative deepening.
     pub fn call_children(&self) -> Vec<(PackedId, Vec<PackedId>)> {
         let mut out: Vec<(PackedId, Vec<PackedId>)> = Vec::new();
-        for rf in &self.funcs {
-            let Some((id, _)) = rf.sled else { continue };
-            let mut children: Vec<PackedId> = rf
-                .sites
-                .iter()
-                .flat_map(|s| s.targets.iter())
-                .filter_map(|&t| self.funcs[t as usize].sled.map(|(cid, _)| cid))
+        for (key, sled) in self.sleds.iter().enumerate() {
+            let Some(sled) = sled else { continue };
+            let mut children: Vec<PackedId> = self
+                .bindings
+                .sites(key as Fi)
+                .flat_map(|s| self.bindings.targets(s))
+                .filter_map(|&t| self.sleds[t as usize].map(|c| c.id))
                 .collect();
             children.sort_by_key(|c| c.raw());
             children.dedup();
-            out.push((id, children));
+            out.push((sled.id, children));
         }
         out.sort_by_key(|(id, _)| id.raw());
         out
@@ -718,7 +683,7 @@ pub struct RegionCostSample {
 }
 
 /// What one epoch run produced.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpochOutcome {
     /// Virtual clock per rank at the end of the epoch.
     pub per_rank_ns: Vec<u64>,
@@ -752,7 +717,7 @@ pub struct EpochOutcome {
 
 /// Computes which functions head quiet subtrees (no MPI, no patched sled
 /// anywhere below, no cycles).
-fn compute_quiet(funcs: &[RFunc]) -> Vec<bool> {
+fn compute_quiet(b: &Bindings, sleds: &[Option<Sled>]) -> Vec<bool> {
     #[derive(Clone, Copy, PartialEq)]
     enum State {
         Unknown,
@@ -760,10 +725,10 @@ fn compute_quiet(funcs: &[RFunc]) -> Vec<bool> {
         Quiet,
         Loud,
     }
-    let mut state = vec![State::Unknown; funcs.len()];
+    let mut state = vec![State::Unknown; sleds.len()];
 
     // Iterative DFS over every function.
-    for start in 0..funcs.len() as u32 {
+    for start in 0..sleds.len() as u32 {
         if state[start as usize] != State::Unknown {
             continue;
         }
@@ -774,12 +739,11 @@ fn compute_quiet(funcs: &[RFunc]) -> Vec<bool> {
                 if state[f] != State::InProgress {
                     continue;
                 }
-                let rf = &funcs[f];
-                let own_loud = rf.mpi.is_some() || matches!(rf.sled, Some((_, true)));
-                let child_loud = rf
-                    .sites
-                    .iter()
-                    .any(|s| s.targets.iter().any(|&t| state[t as usize] != State::Quiet));
+                let own_loud = b.func(key).mpi.is_some() || sleds[f].is_some_and(|s| s.patched);
+                let child_loud = b
+                    .sites(key)
+                    .flat_map(|s| b.targets(s))
+                    .any(|&t| state[t as usize] != State::Quiet);
                 state[f] = if own_loud || child_loud {
                     State::Loud
                 } else {
@@ -798,11 +762,9 @@ fn compute_quiet(funcs: &[RFunc]) -> Vec<bool> {
             }
             state[f] = State::InProgress;
             stack.push((key, true));
-            for s in &funcs[f].sites {
-                for &t in &s.targets {
-                    if state[t as usize] == State::Unknown {
-                        stack.push((t, false));
-                    }
+            for &t in b.sites(key).flat_map(|s| b.targets(s)) {
+                if state[t as usize] == State::Unknown {
+                    stack.push((t, false));
                 }
             }
         }
@@ -815,10 +777,11 @@ fn compute_quiet(funcs: &[RFunc]) -> Vec<bool> {
 enum Step {
     /// Entry sled + body cost of a spine function.
     Enter(Fi),
-    /// All trips of one call site, at the given spine depth.
-    Site { key: Fi, site: usize, depth: u32 },
+    /// All trips of one call site (a [`Bindings`] site index), at the
+    /// given spine depth.
+    Site { site: usize, depth: u32 },
     /// The progress-loop site; its trips are divided across epochs.
-    Loop { key: Fi, site: usize, depth: u32 },
+    Loop { site: usize, depth: u32 },
     /// The spine function's own MPI operation.
     Mpi(Fi),
     /// Exit sled of a spine function.
@@ -840,16 +803,16 @@ struct EpochSchedule {
 /// Statically estimates every function's subtree cost in virtual ns
 /// (body + called subtrees; cycles contribute their body only). Used
 /// solely to rank call sites when hunting for the progress loop.
-fn estimate_costs(funcs: &[RFunc]) -> Vec<u64> {
+fn estimate_costs(b: &Bindings) -> Vec<u64> {
     #[derive(Clone, Copy, PartialEq)]
     enum State {
         Unknown,
         InProgress,
         Done,
     }
-    let mut state = vec![State::Unknown; funcs.len()];
-    let mut cost = vec![0u64; funcs.len()];
-    for start in 0..funcs.len() as u32 {
+    let mut state = vec![State::Unknown; b.num_functions()];
+    let mut cost = vec![0u64; b.num_functions()];
+    for start in 0..b.num_functions() as u32 {
         if state[start as usize] != State::Unknown {
             continue;
         }
@@ -860,14 +823,14 @@ fn estimate_costs(funcs: &[RFunc]) -> Vec<u64> {
                 if state[f] != State::InProgress {
                     continue;
                 }
-                let rf = &funcs[f];
-                let mut total = rf.body_cost as u128;
-                for s in &rf.sites {
-                    if s.targets.is_empty() || s.trips == 0 {
+                let mut total = b.func(key).body_cost_ns as u128;
+                for s in b.sites(key) {
+                    let (targets, trips) = (b.targets(s), b.trips(s));
+                    if targets.is_empty() || trips == 0 {
                         continue;
                     }
-                    let sum: u128 = s.targets.iter().map(|&t| cost[t as usize] as u128).sum();
-                    total += s.trips as u128 * (sum / s.targets.len() as u128);
+                    let sum: u128 = targets.iter().map(|&t| cost[t as usize] as u128).sum();
+                    total += trips as u128 * (sum / targets.len() as u128);
                 }
                 cost[f] = total.min(u64::MAX as u128) as u64;
                 state[f] = State::Done;
@@ -877,7 +840,7 @@ fn estimate_costs(funcs: &[RFunc]) -> Vec<u64> {
                 State::Done => continue,
                 State::InProgress => {
                     // Cycle: settle for the body cost.
-                    cost[f] = funcs[f].body_cost;
+                    cost[f] = b.func(key).body_cost_ns;
                     state[f] = State::Done;
                     continue;
                 }
@@ -885,11 +848,9 @@ fn estimate_costs(funcs: &[RFunc]) -> Vec<u64> {
             }
             state[f] = State::InProgress;
             stack.push((key, true));
-            for s in &funcs[f].sites {
-                for &t in &s.targets {
-                    if state[t as usize] == State::Unknown {
-                        stack.push((t, false));
-                    }
+            for &t in b.sites(key).flat_map(|s| b.targets(s)) {
+                if state[t as usize] == State::Unknown {
+                    stack.push((t, false));
                 }
             }
         }
@@ -903,8 +864,8 @@ fn estimate_costs(funcs: &[RFunc]) -> Vec<u64> {
 /// site with ≥ 2 trips becomes the progress loop whose trips are split
 /// across epochs. Everything before the loop runs in epoch 0 and
 /// everything after it in the last epoch, preserving program order.
-fn build_schedule(funcs: &[RFunc], main: Fi) -> EpochSchedule {
-    let est = estimate_costs(funcs);
+fn build_schedule(b: &Bindings, main: Fi) -> EpochSchedule {
+    let est = estimate_costs(b);
     let mut steps = Vec::new();
     let mut spine = Vec::new();
     let mut suffixes: Vec<Vec<Step>> = Vec::new();
@@ -917,20 +878,21 @@ fn build_schedule(funcs: &[RFunc], main: Fi) -> EpochSchedule {
         visited.insert(key);
         spine.push(key);
         steps.push(Step::Enter(key));
-        let rf = &funcs[key as usize];
+        let sites = b.sites(key);
         let mut dom: Option<(usize, u128)> = None;
-        for (si, s) in rf.sites.iter().enumerate() {
-            if s.targets.is_empty() || s.trips == 0 {
+        for s in sites.clone() {
+            let (targets, trips) = (b.targets(s), b.trips(s));
+            if targets.is_empty() || trips == 0 {
                 continue;
             }
-            let sum: u128 = s.targets.iter().map(|&t| est[t as usize] as u128).sum();
-            let weight = s.trips as u128 * (sum / s.targets.len() as u128 + 1);
+            let sum: u128 = targets.iter().map(|&t| est[t as usize] as u128).sum();
+            let weight = trips as u128 * (sum / targets.len() as u128 + 1);
             if dom.is_none_or(|(_, best)| weight > best) {
-                dom = Some((si, weight));
+                dom = Some((s, weight));
             }
         }
         let mut tail = Vec::new();
-        if rf.mpi.is_some() {
+        if b.func(key).mpi.is_some() {
             tail.push(Step::Mpi(key));
         }
         tail.push(Step::Exit(key));
@@ -938,41 +900,23 @@ fn build_schedule(funcs: &[RFunc], main: Fi) -> EpochSchedule {
             suffixes.push(tail);
             break;
         };
-        let trips = rf.sites[di].trips;
-        let target = rf.sites[di].targets[0];
-        for si in 0..di {
-            steps.push(Step::Site {
-                key,
-                site: si,
-                depth,
-            });
-        }
-        let mut rest: Vec<Step> = (di + 1..rf.sites.len())
-            .map(|si| Step::Site {
-                key,
-                site: si,
-                depth,
-            })
+        let trips = b.trips(di);
+        let target = b.targets(di)[0];
+        steps.extend((sites.start..di).map(|site| Step::Site { site, depth }));
+        let mut rest: Vec<Step> = (di + 1..sites.end)
+            .map(|site| Step::Site { site, depth })
             .collect();
         rest.extend(tail);
         if trips >= 2 {
             loop_pos = Some(steps.len());
             loop_trips = trips;
-            steps.push(Step::Loop {
-                key,
-                site: di,
-                depth,
-            });
+            steps.push(Step::Loop { site: di, depth });
             suffixes.push(rest);
             break;
         }
         if depth >= MAX_SPINE_DEPTH || visited.contains(&target) {
             // Cycle or too deep: stop descending, run the site whole.
-            steps.push(Step::Site {
-                key,
-                site: di,
-                depth,
-            });
+            steps.push(Step::Site { site: di, depth });
             suffixes.push(rest);
             break;
         }
@@ -1143,6 +1087,8 @@ fn within_ppm(duration: u64, estimate: u64, ppm: u32) -> bool {
 /// Per-rank execution state.
 struct RankRun<'e, 'p> {
     engine: &'e Engine<'p>,
+    /// `engine.bindings`, one pointer hop closer for the per-call path.
+    b: &'e Bindings,
     world: &'e Arc<World>,
     rank: u32,
     ranks: u32,
@@ -1162,13 +1108,13 @@ struct RankRun<'e, 'p> {
 }
 
 impl RankRun<'_, '_> {
-    fn body_cost(&self, rf: &RFunc) -> u64 {
-        if rf.imbalance_pct == 0 || self.ranks <= 1 {
-            return rf.body_cost;
+    fn body_cost(&self, bf: &BoundFunc) -> u64 {
+        if bf.imbalance_pct == 0 || self.ranks <= 1 {
+            return bf.body_cost_ns;
         }
         // Rank r of P pays body * (1 + pct/100 * r/(P-1)).
-        rf.body_cost
-            + rf.body_cost * rf.imbalance_pct as u64 * self.rank as u64
+        bf.body_cost_ns
+            + bf.body_cost_ns * bf.imbalance_pct as u64 * self.rank as u64
                 / ((self.ranks as u64 - 1) * 100)
     }
 
@@ -1178,22 +1124,23 @@ impl RankRun<'_, '_> {
         if let Some(c) = self.memo[f] {
             return c;
         }
-        let rf = &self.engine.funcs[f];
-        let mut ns = self.body_cost(rf);
+        let (engine, b) = (self.engine, self.b);
+        let mut ns = self.body_cost(b.func(key));
         let mut nops = 0u64;
-        if rf.sled.is_some() {
+        if engine.sleds[f].is_some() {
             // Dormant sleds: entry + exits still execute their NOPs.
-            ns += 2 * self.engine.model.unpatched_sled_ns;
+            ns += 2 * engine.model.unpatched_sled_ns;
             nops += 2;
         }
-        for s in &rf.sites {
-            if s.targets.is_empty() || s.trips == 0 {
+        for s in b.sites(key) {
+            let (targets, trips) = (b.targets(s), b.trips(s));
+            if targets.is_empty() || trips == 0 {
                 continue;
             }
-            let n = s.targets.len() as u64;
-            let full_cycles = s.trips / n;
-            let rem = s.trips % n;
-            for (ti, &t) in s.targets.iter().enumerate() {
+            let n = targets.len() as u64;
+            let full_cycles = trips / n;
+            let rem = trips % n;
+            for (ti, &t) in targets.iter().enumerate() {
                 let (tns, tnops) = self.quiet_cost(t);
                 let times = full_cycles + if (ti as u64) < rem { 1 } else { 0 };
                 ns = ns.saturating_add(tns.saturating_mul(times));
@@ -1220,7 +1167,7 @@ impl RankRun<'_, '_> {
             kind,
             clock,
             self.rank,
-            self.engine.snapshot.generation,
+            self.engine.generation,
         )?;
         self.events += 1;
         if let Some(costs) = &mut self.costs {
@@ -1235,12 +1182,16 @@ impl RankRun<'_, '_> {
 
     /// Entry sled + body cost of one function invocation.
     fn enter_function(&mut self, key: Fi, clock: u64) -> Result<u64, ExecError> {
-        let rf = &self.engine.funcs[key as usize];
+        let engine = self.engine;
         let mut clock = clock;
-        match rf.sled {
-            Some((id, true)) => {
-                if rf.rate > 1 || self.engine.redundancy_ppm > 0 {
-                    clock = self.sampled_entry(key, id, clock)?;
+        match engine.sleds[key as usize] {
+            Some(Sled {
+                id,
+                patched: true,
+                rate,
+            }) => {
+                if rate > 1 || engine.redundancy_ppm > 0 {
+                    clock = self.sampled_entry(key, id, rate, clock)?;
                 } else {
                     clock = self.sled_event(key, id, EventKind::Entry, clock)?;
                     if let Some(tr) = &mut self.regions {
@@ -1248,21 +1199,24 @@ impl RankRun<'_, '_> {
                     }
                 }
             }
-            Some((_, false)) => {
-                clock += self.engine.model.unpatched_sled_ns;
+            Some(_) => {
+                clock += engine.model.unpatched_sled_ns;
                 self.nops += 1;
             }
             None => {}
         }
-        Ok(clock + self.body_cost(rf))
+        Ok(clock + self.body_cost(self.b.func(key)))
     }
 
     /// Exit sled of one function invocation.
     fn exit_function(&mut self, key: Fi, clock: u64) -> Result<u64, ExecError> {
-        let rf = &self.engine.funcs[key as usize];
-        match rf.sled {
-            Some((id, true)) => {
-                if rf.rate > 1 || self.engine.redundancy_ppm > 0 {
+        match self.engine.sleds[key as usize] {
+            Some(Sled {
+                id,
+                patched: true,
+                rate,
+            }) => {
+                if rate > 1 || self.engine.redundancy_ppm > 0 {
                     self.sampled_exit(key, id, clock)
                 } else {
                     if let Some(tr) = &mut self.regions {
@@ -1271,7 +1225,7 @@ impl RankRun<'_, '_> {
                     self.sled_event(key, id, EventKind::Exit, clock)
                 }
             }
-            Some((_, false)) => {
+            Some(_) => {
                 self.nops += 1;
                 Ok(clock + self.engine.model.unpatched_sled_ns)
             }
@@ -1287,10 +1241,11 @@ impl RankRun<'_, '_> {
         &mut self,
         key: Fi,
         id: capi_xray::PackedId,
+        rate: u32,
         clock: u64,
     ) -> Result<u64, ExecError> {
         let f = key as usize;
-        let rate = u64::from(self.engine.funcs[f].rate.max(1));
+        let rate = u64::from(rate.max(1));
         let entry_clock = clock;
         let mut clock = clock + self.engine.model.patched_sled_ns;
         let (seq, suppress_pending) = {
@@ -1313,7 +1268,7 @@ impl RankRun<'_, '_> {
                 EventKind::Entry,
                 clock,
                 self.rank,
-                self.engine.snapshot.generation,
+                self.engine.generation,
                 seq,
             )? {
                 Some(handler_ns) => {
@@ -1400,22 +1355,21 @@ impl RankRun<'_, '_> {
         }
     }
 
-    /// Executes trips `lo..hi` of one call site of `key` (at the caller's
-    /// call depth), preserving the round-robin virtual-dispatch phase.
+    /// Executes trips `lo..hi` of one call site (at the caller's call
+    /// depth), preserving the round-robin virtual-dispatch phase.
     fn run_site(
         &mut self,
-        key: Fi,
-        si: usize,
+        site: usize,
         lo: u64,
         hi: u64,
         clock: u64,
         depth: u32,
     ) -> Result<u64, ExecError> {
         // Hoist the target slice out of the trip loop: `engine` outlives
-        // `self`'s borrow, so the per-trip body re-indexes neither
-        // `funcs` nor `sites`.
+        // `self`'s borrow, so the per-trip body never goes back to the
+        // bindings.
         let engine = self.engine;
-        let targets: &[Fi] = &engine.funcs[key as usize].sites[si].targets;
+        let targets: &[Fi] = self.b.targets(site);
         let n_targets = targets.len();
         if n_targets == 0 {
             return Ok(clock);
@@ -1457,13 +1411,13 @@ impl RankRun<'_, '_> {
         }
         let mut clock = self.enter_function(key, clock)?;
 
-        for si in 0..self.engine.funcs[f].sites.len() {
-            let trips = self.engine.funcs[f].sites[si].trips;
-            clock = self.run_site(key, si, 0, trips, clock, depth)?;
+        let b = self.b;
+        for site in b.sites(key) {
+            clock = self.run_site(site, 0, b.trips(site), clock, depth)?;
         }
 
-        if let Some(op) = self.engine.funcs[f].mpi {
-            clock = self.mpi_op(op, clock)?;
+        if let Some(call) = b.func(key).mpi {
+            clock = self.mpi_op(call, clock)?;
         }
 
         self.exit_function(key, clock)
@@ -1471,8 +1425,8 @@ impl RankRun<'_, '_> {
 
     /// Performs one MPI operation and attributes the time it took to
     /// every open tracked region (TALP's PMPI interposition).
-    fn mpi_op(&mut self, op: MpiOp, clock: u64) -> Result<u64, ExecError> {
-        let after = self.world.perform(self.rank, clock, op)?;
+    fn mpi_op(&mut self, call: MpiCall, clock: u64) -> Result<u64, ExecError> {
+        let after = self.world.perform(self.rank, clock, convert_mpi(call))?;
         if let Some(tr) = &mut self.regions {
             tr.charge_mpi(after.saturating_sub(clock));
         }
@@ -1888,23 +1842,59 @@ mod tests {
     }
 
     #[test]
+    fn a_rebind_sees_exactly_what_a_fresh_process_would() {
+        let model = OverheadModel::default();
+        let whole_run = |engine: &Engine| {
+            let world = World::new(2, CostModel::default());
+            engine
+                .run_epoch(&world, EpochSpec { index: 0, total: 1 }, &[0, 0])
+                .unwrap()
+        };
+        let launch = || {
+            let s = setup(true, &["kernel"]);
+            s.runtime.set_handler(Arc::new(ShardedLog::new(4)));
+            s
+        };
+        let patched = |e: &Engine| e.sleds.iter().flatten().filter(|s| s.patched).count();
+        // One process: prepare, change sleds and a rate, prepare again.
+        let mut one = launch();
+        let delta = PatchDelta {
+            patch: vec![packed(&one, "step")],
+            set_rate: vec![(packed(&one, "kernel"), 4)],
+            ..PatchDelta::default()
+        };
+        let before = Engine::prepare(&one.process, &one.runtime, model).unwrap();
+        let before_out = whole_run(&before);
+        one.runtime
+            .repatch(&mut one.process.memory, &delta)
+            .unwrap();
+        let after = Engine::prepare(&one.process, &one.runtime, model).unwrap();
+        assert!(
+            Arc::ptr_eq(&before.bindings, &after.bindings),
+            "a repatch must not cost a rebind"
+        );
+        // The same patch state on a process nothing was ever bound on.
+        let mut fresh = launch();
+        fresh
+            .runtime
+            .repatch(&mut fresh.process.memory, &delta)
+            .unwrap();
+        let cold = Engine::prepare(&fresh.process, &fresh.runtime, model).unwrap();
+        let after_out = whole_run(&after);
+        assert_eq!(after_out, whole_run(&cold));
+        assert_ne!(after_out, before_out, "the overlay did change");
+        // The engine prepared earlier keeps the patch state it saw.
+        assert_eq!((patched(&before), patched(&after)), (1, 2));
+    }
+
+    #[test]
     fn call_children_exposes_the_instrumentable_tree() {
         let s = setup(true, &[]);
         let engine = Engine::prepare(&s.process, &s.runtime, OverheadModel::default()).unwrap();
         let children = engine.call_children();
         assert!(!children.is_empty());
-        let by_name = |name: &str| {
-            let fi = s
-                .process
-                .object(0)
-                .unwrap()
-                .image
-                .function_index(name)
-                .unwrap();
-            engine.snapshot.lookup(0, fi).unwrap().0
-        };
-        let step = by_name("step");
-        let kernel = by_name("kernel");
+        let step = packed(&s, "step");
+        let kernel = packed(&s, "kernel");
         let step_children = &children.iter().find(|(id, _)| *id == step).unwrap().1;
         assert!(step_children.contains(&kernel));
         // kernel is a leaf.

@@ -38,6 +38,14 @@
 //! back over one `World` is bit-identical to a monolithic run — except
 //! the caller may repatch sleds and re-`prepare` at every boundary.
 //!
+//! **What a `prepare` costs**: call sites are bound to their callees by
+//! [`capi_objmodel::Process::bindings`], once per load state; `prepare`
+//! shares that result and computes only what depends on the patch state
+//! — the snapshot, the per-function sled overlay, the quiet-subtree
+//! analysis and the schedule. Re-preparing at a boundary is therefore
+//! an overlay, and a full rebind happens exactly when a `dlopen` /
+//! `dlclose` changed what is loaded.
+//!
 //! **Per-epoch measurements**: epoch runs report per-function event
 //! costs ([`FuncCostSample`]) *and* TALP-style per-region efficiency
 //! samples ([`RegionCostSample`]): each patched function is treated as

@@ -20,7 +20,11 @@
 //! * [`loader`] — a simulated process: loads the executable, `dlopen`s
 //!   DSOs at relocated base addresses, binds symbols, and answers
 //!   `/proc/<pid>/maps`-style queries used for symbol injection.
+//! * [`bindings`] — every call site of the loaded functions bound to its
+//!   callee, once per load state; the process caches it and every loader
+//!   mutation drops it.
 
+pub mod bindings;
 pub mod compiler;
 pub mod fault;
 pub mod loader;
@@ -28,6 +32,7 @@ pub mod memory;
 pub mod object;
 pub mod symbols;
 
+pub use bindings::{Bindings, BoundFunc, BoundObject, FuncKey};
 pub use compiler::{compile, estimate_compile_time, CompileError, CompileOptions, OptLevel};
 pub use fault::{FaultKind, FaultPlan, FiredFault, ScriptedFault};
 pub use loader::{CloseOutcome, FuncAddr, LoadError, LoadedObject, MapEntry, Process};

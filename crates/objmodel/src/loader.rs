@@ -15,12 +15,21 @@
 //! interposition (a later-loaded object shadowing an earlier symbol in
 //! resolution order), rebuild-and-reload, and a deterministic
 //! [`FaultPlan`] hook that makes loader failures scriptable.
+//!
+//! What every call site binds to is a function of that load state alone,
+//! so the process also holds the [`Bindings`] of its current state
+//! ([`Process::bindings`]): built on first use, shared by `Arc`, and
+//! dropped by every operation that changes what is mapped or in which
+//! order it resolves — a successful `dlopen*`, `dlclose`,
+//! `dlclose_deferred`, `reload`, and the cascade finalization behind
+//! them. Refused and faulted calls change nothing and keep it.
 
+use crate::bindings::Bindings;
 use crate::fault::{FaultKind, FaultPlan, FiredFault};
 use crate::memory::{AddressSpace, MemError, PagePerms, PAGE_SIZE};
 use crate::object::{Binary, Object, ObjectKind};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Preferred base of the main executable.
 pub const EXE_BASE: u64 = 0x0040_0000;
@@ -190,6 +199,9 @@ pub struct Process {
     dlopen_calls: u64,
     /// Faults that fired in this loader, for audit.
     fault_log: Vec<FiredFault>,
+    /// Call bindings of the current load state; emptied by every change
+    /// to `objects` or `resolution_order`.
+    bindings: OnceLock<Arc<Bindings>>,
 }
 
 impl Process {
@@ -216,6 +228,7 @@ impl Process {
             fault_plan: None,
             dlopen_calls: 0,
             fault_log: Vec::new(),
+            bindings: OnceLock::new(),
         })
     }
 
@@ -336,6 +349,7 @@ impl Process {
         for n in needed {
             self.deps.push((name.clone(), n.to_string()));
         }
+        self.bindings.take();
         Ok(idx)
     }
 
@@ -407,6 +421,7 @@ impl Process {
         let obj = self.objects[idx].as_mut().expect("index from loaded_index");
         obj.pending_fini = true;
         self.resolution_order.retain(|&i| i != idx);
+        self.bindings.take();
         Ok(CloseOutcome::Deferred)
     }
 
@@ -437,6 +452,7 @@ impl Process {
         self.resolution_order.retain(|&i| i != new_idx);
         let pos = pos.min(self.resolution_order.len());
         self.resolution_order.insert(pos, new_idx);
+        self.bindings.take();
         Ok(new_idx)
     }
 
@@ -445,6 +461,7 @@ impl Process {
     /// dependent of.
     fn finalize(&mut self, idx: usize) -> Result<(), LoadError> {
         let obj = self.objects[idx].take().expect("finalize of loaded object");
+        self.bindings.take();
         self.memory.unmap(obj.base)?;
         self.resolution_order.retain(|&i| i != idx);
         let name = obj.image.name.clone();
@@ -514,7 +531,23 @@ impl Process {
     /// earlier-loaded DSOs. Pending-fini objects no longer resolve. Only
     /// *emitted* function bodies resolve.
     pub fn resolve(&self, name: &str) -> Option<FuncAddr> {
-        for &i in &self.resolution_order {
+        self.lookup(self.resolution_order.iter().copied(), name)
+    }
+
+    /// What a call to `name` from already-mapped code binds to:
+    /// [`Self::resolve`], then the objects awaiting deferred finalization
+    /// (ascending index). Those left the lookup scope, but they stay
+    /// mapped precisely so their dependents' calls keep landing.
+    pub(crate) fn resolve_call(&self, name: &str) -> Option<FuncAddr> {
+        self.resolve(name).or_else(|| {
+            let pending = self.loaded().filter(|(_, o)| o.pending_fini);
+            self.lookup(pending.map(|(i, _)| i), name)
+        })
+    }
+
+    /// First definition of `name` among the objects at `order`.
+    fn lookup(&self, order: impl Iterator<Item = usize>, name: &str) -> Option<FuncAddr> {
+        for i in order {
             let Some(o) = self.objects[i].as_ref() else {
                 continue;
             };
@@ -527,6 +560,14 @@ impl Process {
             }
         }
         None
+    }
+
+    /// The call bindings of the current load state: built on first use,
+    /// then shared until the next loader mutation (see the module docs).
+    /// A clone of the process shares them until either side mutates.
+    pub fn bindings(&self) -> &Arc<Bindings> {
+        self.bindings
+            .get_or_init(|| Arc::new(Bindings::build(self)))
     }
 
     /// Reverse lookup: which function contains `addr`?

@@ -519,6 +519,8 @@ use capi_dyncapi::{
     startup, AdaptiveRunBuilder, DynCapiConfig, LifecycleOp, LifecycleScript, ProfileSource,
     Session, ToolChoice,
 };
+use capi_exec::{Engine, EpochSpec, OverheadModel};
+use capi_mpisim::{CostModel, World};
 use capi_objmodel::{FaultKind, FaultPlan};
 use proptest::prelude::*;
 
@@ -811,6 +813,36 @@ fn interposed_dso_shadows_and_the_session_survives() {
         resolved.addr >= shadow_base,
         "interposed definition must win the lookup"
     );
+}
+
+/// What *runs* follows the lookup: before the interposition the epoch's
+/// `aux_fn` cost samples carry libaux's packed ID, afterwards
+/// libshadow's — the engine binds in resolution order, not in slot
+/// order (libshadow sits in the highest slot).
+#[test]
+fn the_engine_calls_the_interposed_definition() {
+    let aux_fn_in = |s: &Session, dso: &str| {
+        let pi = s.process.loaded_index(dso).unwrap();
+        let fi = s.process.object(pi).unwrap().image.function_index("aux_fn");
+        s.runtime.snapshot().lookup(pi, fi.unwrap()).unwrap().0
+    };
+    let sampled = |s: &Session| -> Vec<PackedId> {
+        let engine = Engine::prepare(&s.process, &s.runtime, OverheadModel::default()).unwrap();
+        let world = World::new(2, CostModel::default());
+        let out = engine
+            .run_epoch(&world, EpochSpec { index: 0, total: 1 }, &[0, 0])
+            .unwrap();
+        out.samples.iter().map(|f| f.id).collect()
+    };
+    let mut s = churn_session();
+    let original = aux_fn_in(&s, "libaux.so");
+    assert!(sampled(&s).contains(&original));
+    s.load_dso(shadow_image(), true).result.unwrap();
+    let shadow = aux_fn_in(&s, "libshadow.so");
+    assert_ne!(shadow.object(), original.object());
+    let after = sampled(&s);
+    assert!(after.contains(&shadow), "the interposer's body must run");
+    assert!(!after.contains(&original), "the shadowed body must not");
 }
 
 /// Warm start under churn: the profile references a DSO the new session
