@@ -1,8 +1,10 @@
 //! Criterion bench: in-flight adaptation primitives — batch `repatch`
 //! throughput (the epoch-boundary hot path), `Engine::prepare` on a fresh
-//! load state against a rebind on an unchanged one, the controller's
-//! per-epoch decision cost at scale, and the TALP expansion stack's
-//! decision cost over a wide imbalanced region set.
+//! load state against a rebind on an unchanged one against
+//! `Engine::apply` of a rate-only and of a sled batch, saving a
+//! 9 006-row profile, the controller's per-epoch decision cost at scale,
+//! and the TALP expansion stack's decision cost over a wide imbalanced
+//! region set.
 
 use capi_adapt::{
     AdaptConfig, AdaptController, CallChildren, EpochView, ExpansionOptions, FuncSample,
@@ -12,6 +14,7 @@ use capi_bench::{session_for, Variant};
 use capi_dyncapi::ToolChoice;
 use capi_exec::{Engine, OverheadModel};
 use capi_objmodel::Process;
+use capi_persist::{FunctionRecord, InstrumentationProfile, RegionSummary};
 use capi_xray::{instrument_object, PackedId, PassOptions, PatchDelta, TrampolineSet, XRayRuntime};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -86,6 +89,101 @@ fn bench_adaptation(c: &mut Criterion) {
             b.iter_batched(|| unbound.clone(), |p| prepare(&p), BatchSize::LargeInput)
         });
         group.bench_function("prepare/rebind", |b| b.iter(|| prepare(&session.process)));
+    }
+
+    // What a boundary pays when the engine is kept instead: `apply` of
+    // the 512-function batch the set-up closure just repatched —
+    // rate-only (no quiet flag can change) and sled (every flip walks
+    // its callers).
+    {
+        let mut session = session_for(&setup, &Variant::XrayInactive, ToolChoice::None, 1);
+        let runtime = std::sync::Arc::clone(&session.runtime);
+        let ids: Vec<PackedId> = {
+            let table = runtime.published_table();
+            let main = table.object(0).expect("main registered");
+            (0..main.patched.len() as u32)
+                .take(512)
+                .filter_map(|fid| PackedId::pack(0, fid).ok())
+                .collect()
+        };
+        let mut engine = Engine::prepare(&session.process, &runtime, OverheadModel::default())
+            .expect("prepares");
+        let memory = &mut session.process.memory;
+        let mut flip = false;
+        let mut next_batch = |sleds: bool| {
+            flip = !flip;
+            let delta = match (sleds, flip) {
+                (true, true) => PatchDelta {
+                    patch: ids.clone(),
+                    ..PatchDelta::default()
+                },
+                (true, false) => PatchDelta {
+                    unpatch: ids.clone(),
+                    ..PatchDelta::default()
+                },
+                (false, _) => PatchDelta {
+                    set_rate: ids.iter().map(|&id| (id, 2 + u32::from(flip))).collect(),
+                    ..PatchDelta::default()
+                },
+            };
+            runtime.repatch(memory, &delta).expect("repatch");
+            delta
+        };
+        for (name, sleds) in [
+            ("prepare/apply-rate-batch", false),
+            ("prepare/apply-sled-batch", true),
+        ] {
+            group.bench_function(name, |b| {
+                b.iter_batched(
+                    || next_batch(sleds),
+                    |delta| {
+                        engine.apply(&delta);
+                        engine.snapshot_generation()
+                    },
+                    BatchSize::LargeInput,
+                )
+            });
+        }
+    }
+
+    // Saving a profile the size `openfoam_cold` writes: 5 179 function
+    // rows and 3 827 efficiency rows, 1.4 MB of canonical JSON.
+    {
+        let name = |i: u32| format!("Foam::fvMatrix<Foam::Vector<double>>::solveSegregated_{i}");
+        let profile = InstrumentationProfile {
+            budget_pct: 5.0,
+            converged_at: Some(3),
+            epochs_observed: 12,
+            objects: Vec::new(),
+            functions: (0..5_179u32)
+                .map(|i| FunctionRecord {
+                    raw_id: i,
+                    name: name(i),
+                    active: i % 4 != 0,
+                    rate: 1 + i % 16,
+                    inst_ns: Some(1_000 + u64::from(i) * 37),
+                    visits: Some(24 + u64::from(i)),
+                    drop: None,
+                })
+                .collect(),
+            efficiency: (0..3_827u32)
+                .map(|i| RegionSummary {
+                    raw_id: i,
+                    name: name(i),
+                    epoch: 11,
+                    lb_ppm: 1_000_000 - i,
+                    comm_ppm: i,
+                    pe_ppm: 900_000,
+                    enters: 24,
+                })
+                .collect(),
+        };
+        let path =
+            std::env::temp_dir().join(format!("capi-bench-profile-{}.json", std::process::id()));
+        group.bench_function("persist/save-9k-rows", |b| {
+            b.iter(|| profile.save(&path).expect("saves"))
+        });
+        std::fs::remove_file(&path).ok();
     }
 
     // Controller decision over a 4,096-sample epoch view.

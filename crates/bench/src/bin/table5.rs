@@ -18,7 +18,8 @@
 //! are virtual-time, so the JSON artifact is byte-stable across
 //! machines.
 //!
-//! Environment: `CAPI_RANKS` (default 8), `CAPI_EPOCHS` (default 6),
+//! Environment: `CAPI_RANKS` (default 8; fewer than 2 is refused with
+//! exit code 2 — one rank has no imbalance), `CAPI_EPOCHS` (default 6),
 //! `CAPI_LB_THRESHOLD` (default 0.75), `CAPI_COMM_THRESHOLD`
 //! (default 0.4), `CAPI_TABLE5_OUT` (output path, default
 //! `BENCH_talp_adapt.json`). Zero/invalid values fall back to the
@@ -157,6 +158,11 @@ fn run_mode(bin: &Binary, ranks: u32, epochs: usize, budget: f64, expand: bool) 
 
 fn main() {
     let ranks = ranks_from_env();
+    if ranks < 2 {
+        // Rank skew is what the sweep measures; one rank has none.
+        eprintln!("table5: CAPI_RANKS={ranks}: imbalance expansion needs at least 2 ranks");
+        std::process::exit(2);
+    }
     let epochs = epochs_from_env();
     let out_path = out_path_from_env("CAPI_TABLE5_OUT", "BENCH_talp_adapt.json");
     println!("TABLE V — TALP-DRIVEN EXPANSION vs BUDGET-ONLY TRIMMING\n");

@@ -27,7 +27,9 @@
 //! Environment: `CAPI_RANKS` (default 8), `CAPI_EPOCHS` (default 8,
 //! min 6 for the storm script), `CAPI_BUDGET_PCT` (default 0.5 — tight,
 //! so deltas keep touching the churned objects), `CAPI_TABLE9_OUT`
-//! (output path, default `BENCH_dso.json`).
+//! (output path, default `target/BENCH_dso.json`: the committed
+//! `BENCH_dso.json` at the repository root is only ever written by
+//! naming it here).
 
 use capi_appmodel::{LinkTarget, MpiCall, ProgramBuilder};
 use capi_bench::report::{budget_pct_from_env_or, out_path_from_env, write_report};
@@ -259,7 +261,10 @@ fn main() {
     let ranks = ranks_from_env();
     let epochs = epochs_from_env().max(6);
     let budget = budget_pct_from_env_or(0.5);
-    let out_path = out_path_from_env("CAPI_TABLE9_OUT", "BENCH_dso.json");
+    let out_path = out_path_from_env("CAPI_TABLE9_OUT", "target/BENCH_dso.json");
+    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+        std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creates {}: {e}", dir.display()));
+    }
     let bin = churn_host();
 
     println!("TABLE IX — DSO-CHURN SURVIVAL\n");

@@ -7,9 +7,11 @@
 //! [`capi_adapt::AdaptController`], the resulting delta is applied
 //! through `XRayRuntime::repatch` (one `mprotect` pair per touched
 //! object, one atomically published dispatch table for the whole
-//! batch), and the engine re-snapshots for the next epoch — the
-//! snapshot now derives from the published table, lock-free — while
-//! the simulated MPI world stays up. Repatch costs are accounted separately
+//! batch), and the engine — one for the run, prepared again only when
+//! the load state or anything but that batch moved — follows it with
+//! `Engine::apply`, re-reading the named sleds from a lock-free
+//! snapshot of the published table, while the simulated MPI world
+//! stays up. Repatch costs are accounted separately
 //! as `T_adapt`, alongside `T_init`. The whole loop is tool-agnostic:
 //! whatever [`crate::ToolChoice`] the session was started with keeps
 //! receiving events across IC reloads.
@@ -213,6 +215,10 @@ impl Session {
         if let Some(talp) = &self.talp {
             world.add_hook(talp.clone());
         }
+        // The engine borrows this handle, not `self`, so it lives across
+        // the repatches (`&mut self`) between its epochs.
+        let runtime = Arc::clone(&self.runtime);
+        let mut engine: Option<Engine<'_>> = None;
         let mut clocks = vec![0u64; self.config.ranks as usize];
         let mut records = Vec::with_capacity(epochs);
         let mut efficiency = EfficiencyReport::new();
@@ -259,24 +265,30 @@ impl Session {
                     pending_races.extend(el.races);
                 }
             }
-            // Re-prepare against the current patch state: the snapshot
-            // and quiet-subtree analysis pick up the last delta (and,
-            // at epoch 0, the warm-start batch). The call bindings come
-            // from the process and are rebuilt only when a lifecycle op
-            // (or an unload race) changed what is loaded.
-            let mut engine = if lenient {
-                Engine::prepare_lenient(&self.process, &self.runtime, self.config.overhead)
-            } else {
-                Engine::prepare(&self.process, &self.runtime, self.config.overhead)
+            // One engine for the run, kept while it provably describes
+            // the process: same call bindings (no lifecycle op, unload
+            // race or reload since) and the runtime at the generation the
+            // engine last read. Otherwise — the first epoch included —
+            // prepare from scratch: the bindings come from the process,
+            // rebuilt only if what is loaded changed; the sled overlay
+            // and quiet-subtree analysis are redone over the program.
+            if !engine.as_ref().is_some_and(|e| e.is_current(&self.process)) {
+                let fresh = if lenient {
+                    Engine::prepare_lenient(&self.process, &runtime, self.config.overhead)
+                } else {
+                    Engine::prepare(&self.process, &runtime, self.config.overhead)
+                }
+                .map_err(DynCapiError::Exec)?
+                .with_redundancy_ppm(redundancy_ppm);
+                #[cfg(test)]
+                tests::note_prepare(self.process.bindings());
+                engine = Some(match &tel {
+                    Some(t) => fresh.with_telemetry(t.clone()),
+                    None => fresh,
+                });
             }
-            .map_err(DynCapiError::Exec)?
-            .with_redundancy_ppm(redundancy_ppm);
-            #[cfg(test)]
-            tests::note_bindings(self.process.bindings());
+            let engine = engine.as_mut().expect("prepared above");
             lc_stats.unresolved_calls = lc_stats.unresolved_calls.max(engine.unresolved_calls());
-            if let Some(t) = &tel {
-                engine = engine.with_telemetry(t.clone());
-            }
             if !initialized {
                 initialized = true;
                 // Setup: seed the controller from the startup patch
@@ -307,9 +319,8 @@ impl Session {
                 );
                 // Warm start: apply the profile's converged state as
                 // one repatch batch before the program runs its first
-                // epoch. Only this path pays an extra Engine::prepare
-                // (the repatch invalidates the snapshot just taken);
-                // cold runs reuse the engine for epoch 0 directly.
+                // epoch, and carry the engine over it like over any
+                // other boundary.
                 match warm.take() {
                     None => {}
                     Some(WarmStart::Unavailable(err)) => {
@@ -330,7 +341,6 @@ impl Session {
                         // baseline unless the caller provided one.
                         baseline_events =
                             baseline_events.or_else(|| profile.baseline_epoch_events());
-                        drop(engine);
                         let mut summary = self.plan_warm_start(controller, profile, tel.as_ref());
                         let (delta, seed) = controller.seed_from_profile(profile, &summary.idmap);
                         summary.summary.seed = seed;
@@ -342,6 +352,7 @@ impl Session {
                             &mut lc_stats,
                             lc_counters.as_ref(),
                         )?;
+                        carry_over(engine, &delta, &rep);
                         let warm_ns = repatch_cost_ns(&self.config.init_costs, &rep);
                         summary.summary.adapt_ns = warm_ns;
                         adapt_ns += warm_ns;
@@ -456,6 +467,9 @@ impl Session {
                 &mut lc_stats,
                 lc_counters.as_ref(),
             )?;
+            if epoch + 1 < epochs {
+                carry_over(engine, &delta, &rep);
+            }
             let epoch_adapt_ns = repatch_cost_ns(&self.config.init_costs, &rep);
             adapt_ns += epoch_adapt_ns;
             records.push(EpochRecord {
@@ -801,6 +815,24 @@ impl Session {
     }
 }
 
+/// Carries `engine` across the repatch batch that applied `delta` and
+/// returned `rep`, when that batch is all the runtime has seen since the
+/// engine last read it (the batch opened exactly the next generation, or
+/// none for an empty delta). Anything else leaves the engine behind the
+/// runtime, which the loop's `is_current` check answers with a full
+/// prepare — as it does a changed load state.
+fn carry_over(
+    engine: &mut Engine<'_>,
+    delta: &capi_xray::PatchDelta,
+    rep: &capi_xray::RepatchReport,
+) {
+    if rep.generation <= engine.snapshot_generation() + 1 {
+        engine.apply(delta);
+        #[cfg(test)]
+        tests::note_apply();
+    }
+}
+
 /// Outcome of [`Session::plan_warm_start`].
 struct PlannedWarmStart {
     idmap: BTreeMap<u32, u32>,
@@ -847,29 +879,51 @@ mod tests {
     use capi_scorep::FilterFile;
     use std::cell::RefCell;
 
-    thread_local! {
-        /// The distinct call bindings the epoch loop's prepares ran on,
-        /// on this thread. [`capi_objmodel::Process::bindings`] resolves
-        /// names once per `Arc` it hands out, so the length is the
-        /// number of whole-program binding passes a run paid: the unit
-        /// of work counted instead of timing. (Held, not just counted,
+    /// What the epoch loops on this thread did at their boundaries — the
+    /// unit of work counted instead of timing.
+    #[derive(Default)]
+    struct LoopWork {
+        /// The distinct call bindings the prepares ran on.
+        /// [`capi_objmodel::Process::bindings`] resolves names once per
+        /// `Arc` it hands out, so the length is the number of
+        /// whole-program binding passes paid. (Held, not just counted,
         /// so a freed allocation's address cannot come back.)
-        static BINDINGS_SEEN: RefCell<Vec<Arc<Bindings>>> = const { RefCell::new(Vec::new()) };
+        bindings_seen: Vec<Arc<Bindings>>,
+        /// `Engine::prepare*` calls: each one full sled overlay and one
+        /// full quiet-subtree analysis.
+        prepares: usize,
+        /// `Engine::apply` calls.
+        applies: usize,
     }
 
-    pub(super) fn note_bindings(b: &Arc<Bindings>) {
-        BINDINGS_SEEN.with_borrow_mut(|seen| {
-            if !seen.last().is_some_and(|last| Arc::ptr_eq(last, b)) {
-                seen.push(Arc::clone(b));
+    thread_local! {
+        static LOOP_WORK: RefCell<LoopWork> = RefCell::new(LoopWork::default());
+    }
+
+    pub(super) fn note_prepare(b: &Arc<Bindings>) {
+        LOOP_WORK.with_borrow_mut(|w| {
+            w.prepares += 1;
+            if !w
+                .bindings_seen
+                .last()
+                .is_some_and(|last| Arc::ptr_eq(last, b))
+            {
+                w.bindings_seen.push(Arc::clone(b));
             }
         });
     }
 
-    /// Binding passes `run` paid on this thread.
-    fn binds_during<T>(run: impl FnOnce() -> T) -> (usize, T) {
-        BINDINGS_SEEN.with_borrow_mut(Vec::clear);
+    pub(super) fn note_apply() {
+        LOOP_WORK.with_borrow_mut(|w| w.applies += 1);
+    }
+
+    /// `(binding passes, prepares, applies)` that `run` paid on this
+    /// thread.
+    fn work_during<T>(run: impl FnOnce() -> T) -> ((usize, usize, usize), T) {
+        LOOP_WORK.set(LoopWork::default());
         let out = run();
-        (BINDINGS_SEEN.with_borrow(Vec::len), out)
+        let w = LOOP_WORK.take();
+        ((w.bindings_seen.len(), w.prepares, w.applies), out)
     }
 
     fn binary() -> capi_objmodel::Binary {
@@ -986,29 +1040,32 @@ mod tests {
     fn a_run_binds_once_per_load_state_not_once_per_epoch() {
         let run = |builder: AdaptiveRunBuilder| {
             let mut s = session();
-            binds_during(|| builder.epochs(12).seed(3).run(&mut s).unwrap())
+            work_during(|| builder.epochs(12).seed(3).run(&mut s).unwrap())
         };
-        // Twelve prepares, eleven repatches between them, one bind.
-        let (binds, cold) = run(AdaptiveRunBuilder::new());
+        // Twelve epochs, a repatch after each: one bind, one full
+        // prepare, and the eleven boundaries with an epoch behind them
+        // are applied.
+        let (work, cold) = run(AdaptiveRunBuilder::new());
         assert_eq!(cold.adaptive.records.len(), 12);
         assert!(cold.adaptive.adapt_ns > 0, "the run did repatch");
-        assert_eq!(binds, 1);
-        // Warm: a thirteenth prepare after the seeding repatch, same bind.
-        let (binds, warm) =
+        assert_eq!(work, (1, 1, 11));
+        // Warm: the same, plus the seeding batch applied before epoch 0.
+        let (work, warm) =
             run(AdaptiveRunBuilder::new().profile(ProfileSource::Inline(cold.profile)));
         assert!(warm.warm_started);
-        assert_eq!(binds, 1);
+        assert_eq!(work, (1, 1, 12));
         // Churn: the open (epoch 1) and the close (epoch 3) each change
-        // what is loaded; the refused close at epoch 5 does not.
+        // what is loaded and cost a bind and a full prepare; the refused
+        // close at epoch 5 costs neither.
         let script = LifecycleScript::new()
             .image(plugin_image())
             .at(1, LifecycleOp::Open("libplugin.so".into()))
             .at(3, LifecycleOp::Close("libplugin.so".into()))
             .at(5, LifecycleOp::Close("libplugin.so".into()));
-        let (binds, churn) = run(AdaptiveRunBuilder::new().lifecycle(script));
+        let (work, churn) = run(AdaptiveRunBuilder::new().lifecycle(script));
         let stats = churn.adaptive.lifecycle.unwrap();
         assert_eq!((stats.opened, stats.closed), (1, 1));
-        assert_eq!(binds, 3);
+        assert_eq!(work, (3, 3, 11));
     }
 
     #[test]

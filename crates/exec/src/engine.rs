@@ -4,11 +4,11 @@ use capi_appmodel::MpiCall;
 use capi_mpisim::{MpiError, MpiOp, World};
 use capi_objmodel::{Bindings, BoundFunc, FuncKey, Process};
 use capi_obs::{GaugeId, RecordKind, Telemetry};
-use capi_xray::{EventKind, PackedId, XRayError, XRayRuntime};
+use capi_xray::{EventKind, PackedId, PatchDelta, PatchSnapshot, XRayError, XRayRuntime};
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Maximum call depth before calls are cut off (recursion guard).
 const MAX_DEPTH: u32 = 256;
@@ -113,12 +113,36 @@ type Fi = FuncKey;
 
 /// A function's sled as the patch snapshot saw it — the only
 /// per-function state that depends on what is patched.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Sled {
     id: PackedId,
     patched: bool,
     /// Sampling rate (1-in-N); 1 = full instrumentation.
     rate: u32,
+}
+
+impl Sled {
+    /// Patched and delivering only every N-th invocation.
+    fn is_sampled(&self) -> bool {
+        self.patched && self.rate > 1
+    }
+}
+
+/// Packed ID → key for every function with a sled, dense per object.
+fn index_sleds(sleds: &[Option<Sled>]) -> Vec<Vec<Fi>> {
+    let mut by_id: Vec<Vec<Fi>> = Vec::new();
+    for (key, sled) in sleds.iter().enumerate() {
+        let Some(sled) = sled else { continue };
+        let (object, fid) = (sled.id.object() as usize, sled.id.function() as usize);
+        if by_id.len() <= object {
+            by_id.resize_with(object + 1, Vec::new);
+        }
+        if by_id[object].len() <= fid {
+            by_id[object].resize(fid + 1, NO_KEY);
+        }
+        by_id[object][fid] = key as Fi;
+    }
+    by_id
 }
 
 fn convert_mpi(c: MpiCall) -> MpiOp {
@@ -134,11 +158,31 @@ fn convert_mpi(c: MpiCall) -> MpiOp {
     }
 }
 
+/// Reads one function's sled out of a patch snapshot (by loader object
+/// index and object-local function index) — the one place the overlay
+/// is read, by the full build and by [`Engine::apply`] alike.
+fn read_sled(snapshot: &PatchSnapshot, object: usize, func: u32) -> Option<Sled> {
+    snapshot.lookup(object, func).map(|(id, patched)| Sled {
+        id,
+        patched,
+        rate: snapshot.sample_rate(object, func),
+    })
+}
+
 /// A prepared execution engine over a loaded, instrumented process.
 ///
-/// Preparation takes the process' call [`Bindings`] (resolved once per
-/// load state, shared) and lays the current patch state over them;
-/// `run` then replays the program on every rank of a [`World`].
+/// What it holds, by how long it stays true:
+///
+/// * **per load state** — the call [`Bindings`] (shared with the
+///   process, with the subtree-cost estimate and reverse edges they
+///   carry), `main`, the epoch schedule, and each rank's quiet-subtree
+///   memo;
+/// * **per patch state** — the sled overlay, its generation, and the
+///   quiet flags. [`Self::prepare`] builds them from scratch;
+///   [`Self::apply`] brings them up to date after one repatch batch by
+///   touching only what the batch named;
+/// * **per epoch** — each rank's cost, region and sampling cells, owned
+///   by the engine and reset through the list of keys the epoch touched.
 pub struct Engine<'p> {
     runtime: &'p XRayRuntime,
     model: OverheadModel,
@@ -147,13 +191,19 @@ pub struct Engine<'p> {
     bindings: Arc<Bindings>,
     /// Entry point.
     main: Fi,
-    /// Per-function sled state from the snapshot taken at preparation
-    /// time; `None` = no sled.
+    /// Per-function sled state as of `generation`; `None` = no sled.
     sleds: Vec<Option<Sled>>,
-    /// Generation of that snapshot.
+    /// How many sleds are patched at a rate above 1: whether a run needs
+    /// sampling bookkeeping, without scanning `sleds`.
+    sampled: usize,
+    /// Generation of the snapshot `sleds` was last read from.
     generation: u64,
     /// Quiet = subtree has no MPI and no patched sled: memoizable.
     quiet: Vec<bool>,
+    /// Packed ID → key, `[object ID][function ID]`, built by the first
+    /// [`Self::apply`] (a prepare that is never carried forward does not
+    /// pay for it).
+    keys_by_id: Option<Vec<Vec<Fi>>>,
     /// Epoch schedule: the program linearized around its progress loop.
     schedule: EpochSchedule,
     /// Redundancy-suppression band in parts per million; 0 disables the
@@ -162,7 +212,15 @@ pub struct Engine<'p> {
     /// Self-telemetry wiring ([`Engine::with_telemetry`]); epoch spans
     /// and per-epoch event-volume gauges. `None` costs nothing.
     obs: Option<ExecObs>,
+    /// One scratch set per rank, reused by every [`Self::run_epoch`].
+    /// The outer lock is held for the length of an epoch run; each rank
+    /// thread locks its own slot, uncontended.
+    scratch: Mutex<Vec<Mutex<RankScratch>>>,
 }
+
+/// `keys_by_id` entry of a function ID without a sled; as an index it is
+/// past the end of every per-function table.
+const NO_KEY: Fi = Fi::MAX;
 
 /// Telemetry handles the engine reports through: one span per epoch
 /// plus gauges tracking the per-epoch event volume and its reduction
@@ -175,14 +233,20 @@ struct ExecObs {
 }
 
 impl<'p> Engine<'p> {
-    /// Prepares an engine for the current state of `process`/`runtime`.
+    /// Prepares an engine for the current state of `process`/`runtime`,
+    /// from scratch: the patch snapshot, the sled overlay over every
+    /// function, the full quiet-subtree analysis, and a walk down the
+    /// spine for the schedule.
     ///
-    /// Cheap to repeat: the call bindings come from
-    /// [`Process::bindings`], which resolves names once per load state,
-    /// so a second `prepare` on an unchanged process only re-reads the
-    /// patch state (snapshot, per-function sled overlay, quiet-subtree
-    /// analysis, epoch schedule). After a `dlopen`/`dlclose` the next
-    /// `prepare` rebinds.
+    /// What depends only on the load state is not rebuilt: the call
+    /// bindings come from [`Process::bindings`] and the subtree-cost
+    /// estimate the schedule ranks call sites by from
+    /// [`Bindings::subtree_costs`], both once per load state, so a second
+    /// `prepare` on an unchanged process pays for the patch state alone;
+    /// after a `dlopen`/`dlclose` the next one rebinds. A caller that
+    /// keeps its engine across repatches does not need a second
+    /// `prepare` at all — see [`Self::apply`], which this is the
+    /// constructor, the fallback and the reference for.
     pub fn prepare(
         process: &Process,
         runtime: &'p XRayRuntime,
@@ -226,14 +290,11 @@ impl<'p> Engine<'p> {
         let snapshot = runtime.snapshot();
         let mut sleds = Vec::with_capacity(bindings.num_functions());
         for o in bindings.objects() {
-            sleds.extend((0..o.image.functions.len() as u32).map(|fi| {
-                snapshot.lookup(o.index, fi).map(|(id, patched)| Sled {
-                    id,
-                    patched,
-                    rate: snapshot.sample_rate(o.index, fi),
-                })
-            }));
+            sleds.extend(
+                (0..o.image.functions.len() as u32).map(|fi| read_sled(&snapshot, o.index, fi)),
+            );
         }
+        let sampled = sleds.iter().flatten().filter(|s| s.is_sampled()).count();
         let quiet = compute_quiet(&bindings, &sleds);
         let schedule = build_schedule(&bindings, main);
         Ok(Self {
@@ -242,12 +303,131 @@ impl<'p> Engine<'p> {
             bindings,
             main,
             sleds,
+            sampled,
             generation: snapshot.generation,
             quiet,
+            keys_by_id: None,
             schedule,
             redundancy_ppm: 0,
             obs: None,
+            scratch: Mutex::new(Vec::new()),
         })
+    }
+
+    /// Whether the engine still describes `process` and its runtime:
+    /// the process hands out the bindings the engine was prepared on (no
+    /// `dlopen`, `dlclose` or reload since) and the runtime is at the
+    /// generation the engine last read. When false, [`Self::prepare`]
+    /// again.
+    pub fn is_current(&self, process: &Process) -> bool {
+        Arc::ptr_eq(&self.bindings, process.bindings())
+            && self.generation == self.runtime.generation()
+    }
+
+    /// Brings the engine up to date after the repatch batch that applied
+    /// `delta`, at the cost of what the batch named — not of the program.
+    ///
+    /// Takes a fresh snapshot and re-reads from it (not from the delta's
+    /// intent) the sled of every ID the delta names, so entries the
+    /// lenient path skipped, the applied part of a faulted batch and the
+    /// rate reset on re-patching are all seen as the runtime left them;
+    /// IDs the engine has no sled for are ignored. Adopts the snapshot's
+    /// generation. An empty delta is a no-op (so was its batch).
+    ///
+    /// The quiet flags change only where a `patched` bit flipped: a
+    /// newly patched function makes itself and its still-quiet ancestors
+    /// loud; a newly unpatched one is re-evaluated and, if it turned
+    /// quiet, so are its callers (a worklist over [`Bindings::callers`]).
+    /// Rate-only batches touch no flag. Each rank's quiet-subtree memo
+    /// describes subtrees *as dormant* — the only state it is read in —
+    /// so it survives.
+    ///
+    /// The result equals a fresh [`Self::prepare`] **provided the batch
+    /// is the only thing that changed the runtime since
+    /// [`Self::snapshot_generation`]** and the load state is the same;
+    /// the caller checks that (the batch's report carries
+    /// `snapshot_generation() + 1`, or the same generation for an empty
+    /// delta, and [`Self::is_current`] holds afterwards) and otherwise
+    /// prepares again.
+    pub fn apply(&mut self, delta: &PatchDelta) {
+        let span = self.obs.as_ref().map(|o| o.tel.span("exec.apply"));
+        let wall_start = std::time::Instant::now();
+        let (mut patched, mut unpatched) = (Vec::new(), Vec::new());
+        // An empty batch left the runtime, generation included, alone.
+        if !delta.is_empty() {
+            let snapshot = self.runtime.snapshot();
+            self.generation = snapshot.generation;
+            let keys_by_id = self
+                .keys_by_id
+                .get_or_insert_with(|| index_sleds(&self.sleds));
+            let named = (delta.patch.iter().chain(&delta.unpatch))
+                .chain(delta.set_rate.iter().map(|(id, _)| id));
+            for id in named {
+                let key = keys_by_id
+                    .get(id.object() as usize)
+                    .and_then(|fids| fids.get(id.function() as usize))
+                    .map_or(NO_KEY, |&key| key);
+                let Some(was) = self.sleds.get(key as usize).copied().flatten() else {
+                    continue;
+                };
+                // Registration cannot have changed under the caller's
+                // contract; if it did, the snapshot is still the truth.
+                let o = self.bindings.object_of(key);
+                let now = read_sled(&snapshot, o.index, key - o.base);
+                self.sleds[key as usize] = now;
+                self.sampled -= usize::from(was.is_sampled());
+                self.sampled += usize::from(now.is_some_and(|s| s.is_sampled()));
+                match (was.patched, now.is_some_and(|s| s.patched)) {
+                    (false, true) => patched.push(key),
+                    (true, false) => unpatched.push(key),
+                    _ => {}
+                }
+            }
+        }
+        if let Some(span) = &span {
+            span.arg("ids", delta.len());
+            span.arg("generation", self.generation);
+            span.arg("newly_patched", patched.len());
+            span.arg("newly_unpatched", unpatched.len());
+        }
+        self.make_loud(&patched);
+        self.requiet(unpatched);
+        if let Some(span) = &span {
+            span.wall_ns(wall_start.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Does `key` make its own subtree loud, whatever it calls?
+    fn own_loud(&self, key: Fi) -> bool {
+        self.bindings.func(key).mpi.is_some() || self.sleds[key as usize].is_some_and(|s| s.patched)
+    }
+
+    /// `seeds` became loud: so does every ancestor that was still quiet
+    /// (an ancestor already loud has loud ancestors already).
+    fn make_loud(&mut self, seeds: &[Fi]) {
+        let mut work: Vec<Fi> = seeds.to_vec();
+        while let Some(key) = work.pop() {
+            if std::mem::replace(&mut self.quiet[key as usize], false) {
+                work.extend_from_slice(self.bindings.callers(key));
+            }
+        }
+    }
+
+    /// `work` lost their own reason to be loud: a function turns quiet
+    /// once it has none of its own and every callee is quiet, and then
+    /// its loud callers are looked at again. Functions on a cycle never
+    /// turn: each waits for the next one round.
+    fn requiet(&mut self, mut work: Vec<Fi>) {
+        while let Some(key) = work.pop() {
+            let b = &self.bindings;
+            let turns = !self.quiet[key as usize]
+                && !self.own_loud(key)
+                && (b.sites(key).flat_map(|s| b.targets(s))).all(|&t| self.quiet[t as usize]);
+            if turns {
+                self.quiet[key as usize] = true;
+                work.extend_from_slice(b.callers(key));
+            }
+        }
     }
 
     /// Call-site target references dropped by [`Self::prepare_lenient`]
@@ -268,10 +448,10 @@ impl<'p> Engine<'p> {
     }
 
     /// Wires the run's telemetry: each [`Self::run_epoch`] then records
-    /// an `exec.epoch` span and per-epoch event-volume gauges. Gauge
-    /// registration is idempotent by name, so re-preparing the engine
-    /// every epoch (the adaptation loop does, to pick up the boundary's
-    /// repatch) reuses the same slots.
+    /// an `exec.epoch` span and per-epoch event-volume gauges, each
+    /// [`Self::apply`] an `exec.apply` span. Gauge registration is
+    /// idempotent by name, so an engine prepared again mid-run reuses
+    /// the same slots.
     pub fn with_telemetry(mut self, tel: Telemetry) -> Self {
         self.obs = Some(ExecObs {
             g_events: tel.gauge("exec.epoch_events"),
@@ -282,17 +462,16 @@ impl<'p> Engine<'p> {
         self
     }
 
-    /// Whether any rank needs the sampling/suppression bookkeeping this
-    /// run. False keeps the fast path literally identical to a build
-    /// without sampling.
-    fn sampling_state(&self) -> Option<SamplingState> {
-        let need =
-            self.redundancy_ppm > 0 || self.sleds.iter().flatten().any(|s| s.patched && s.rate > 1);
-        need.then(|| SamplingState::new(self.sleds.len()))
+    /// Whether a run needs the sampling/suppression bookkeeping. False
+    /// keeps the fast path literally identical to a build without
+    /// sampling.
+    fn needs_sampling(&self) -> bool {
+        self.redundancy_ppm > 0 || self.sampled > 0
     }
 
-    /// Generation of the patch-state snapshot this engine was prepared
-    /// with; stale if the runtime has changed since.
+    /// Generation of the patch-state snapshot the engine last read (at
+    /// [`Self::prepare`] or [`Self::apply`]); stale if the runtime has
+    /// changed since.
     pub fn snapshot_generation(&self) -> u64 {
         self.generation
     }
@@ -308,19 +487,22 @@ impl<'p> Engine<'p> {
             // Pre-claim this rank thread's dispatch reader slot so the
             // first event doesn't pay the one-time claim lock.
             self.runtime.register_reader(ctx.rank);
+            let mut memo = vec![None; self.sleds.len()];
+            let mut samp = self
+                .needs_sampling()
+                .then(|| SamplingState::new(self.sleds.len()));
             let mut rank_state = RankRun {
                 engine: self,
                 b: &self.bindings,
                 world: &ctx.world,
                 rank: ctx.rank,
                 ranks: ctx.world.size(),
-                memo: vec![None; self.sleds.len()],
+                memo: &mut memo,
                 events: 0,
                 nops: 0,
                 depth_cutoffs: 0,
-                costs: None,
-                regions: None,
-                samp: self.sampling_state(),
+                epoch: None,
+                samp: samp.as_mut(),
             };
             let r = rank_state.exec(self.main, 0, 0);
             events.fetch_add(rank_state.events, Ordering::Relaxed);
@@ -370,9 +552,16 @@ impl<'p> Engine<'p> {
     /// at its clock from the previous epoch. Running epochs `0..total`
     /// back to back over one [`World`] is exactly one program run —
     /// except the caller may repatch sleds at every boundary and
-    /// re-`prepare` the engine to see them (the bindings carry over; only
-    /// the patch overlay is rebuilt), which is what in-flight adaptation
-    /// does.
+    /// [`Self::apply`] the batch (or [`Self::prepare`] again) to see
+    /// them, which is what in-flight adaptation does.
+    ///
+    /// An epoch costs what ran: each rank works in the scratch set the
+    /// engine keeps for it (memo, cost, region and sampling cells),
+    /// records the keys it touches, and the fold into
+    /// [`EpochOutcome::samples`] / `talp_samples` visits those keys only,
+    /// in key order — the output a scan over every function would give.
+    /// The sampling counters (`seq`, the duration estimate, the
+    /// suppression flag) restart at every epoch.
     pub fn run_epoch(
         &self,
         world: &Arc<World>,
@@ -400,30 +589,31 @@ impl<'p> Engine<'p> {
         };
         let first = spec.index == 0;
         let last = spec.index == spec.total - 1;
-        type RankResult = (
-            Result<u64, ExecError>,
-            u64,
-            u64,
-            u64,
-            Vec<(u64, u64)>,
-            Vec<RegionCell>,
-            (u64, u64),
-        );
+        let funcs = self.sleds.len();
+        let ranks = world.size();
+        let mut slots = self.scratch.lock().expect(SCRATCH_POISONED);
+        slots.resize_with(ranks as usize, || Mutex::new(RankScratch::new(funcs)));
+        let slots = &*slots;
+        type RankResult = (Result<u64, ExecError>, u64, u64, u64, (u64, u64));
         let results: Vec<RankResult> = world.run(|ctx| {
             self.runtime.register_reader(ctx.rank);
+            let mut scratch = slots[ctx.rank as usize].lock().expect(SCRATCH_POISONED);
+            scratch.begin_epoch(ranks, self.needs_sampling());
+            let RankScratch {
+                memo, epoch, samp, ..
+            } = &mut *scratch;
             let mut rr = RankRun {
                 engine: self,
                 b: &self.bindings,
                 world: &ctx.world,
                 rank: ctx.rank,
-                ranks: ctx.world.size(),
-                memo: vec![None; self.sleds.len()],
+                ranks,
+                memo,
                 events: 0,
                 nops: 0,
                 depth_cutoffs: 0,
-                costs: Some(vec![(0, 0); self.sleds.len()]),
-                regions: Some(RegionTrack::new(self.sleds.len())),
-                samp: self.sampling_state(),
+                epoch: Some(epoch),
+                samp: samp.as_mut().filter(|_| self.needs_sampling()),
             };
             let mut clock = start_clocks[ctx.rank as usize];
             let mut res: Result<(), ExecError> = Ok(());
@@ -465,7 +655,7 @@ impl<'p> Engine<'p> {
             }
             let sampling = rr
                 .samp
-                .take()
+                .as_ref()
                 .map(|s| (s.sampled_skips, s.suppressed))
                 .unwrap_or((0, 0));
             // Flight-recorder mark on the rank's own ring: everything in
@@ -489,18 +679,13 @@ impl<'p> Engine<'p> {
                 rr.events,
                 rr.nops,
                 rr.depth_cutoffs,
-                rr.costs.take().unwrap_or_default(),
-                rr.regions.take().map(|t| t.cells).unwrap_or_default(),
                 sampling,
             )
         });
-        let ranks = results.len();
-        let mut per_rank = Vec::with_capacity(ranks);
+        let mut per_rank = Vec::with_capacity(ranks as usize);
         let (mut events, mut nops, mut cutoffs, mut busy) = (0u64, 0u64, 0u64, 0u64);
         let (mut skips, mut suppressed) = (0u64, 0u64);
-        let mut merged: Vec<(u64, u64)> = vec![(0, 0); self.sleds.len()];
-        let mut region_cells: Vec<Vec<RegionCell>> = Vec::with_capacity(ranks);
-        for (rank, (res, ev, np, dc, costs, cells, (sk, su))) in results.into_iter().enumerate() {
+        for (rank, (res, ev, np, dc, (sk, su))) in results.into_iter().enumerate() {
             let end = res?;
             busy += end - start_clocks[rank];
             per_rank.push(end);
@@ -509,11 +694,6 @@ impl<'p> Engine<'p> {
             cutoffs += dc;
             skips += sk;
             suppressed += su;
-            for (f, (vis, ins)) in costs.into_iter().enumerate() {
-                merged[f].0 += vis;
-                merged[f].1 += ins;
-            }
-            region_cells.push(cells);
         }
         let epoch_ns = per_rank
             .iter()
@@ -521,57 +701,61 @@ impl<'p> Engine<'p> {
             .map(|(r, &c)| c - start_clocks[r])
             .max()
             .unwrap_or(0);
+        // The rank threads are done; fold what they left, over the keys
+        // any of them touched, ascending.
+        let per_rank_cells: Vec<_> = (slots.iter())
+            .map(|slot| slot.lock().expect(SCRATCH_POISONED))
+            .collect();
+        let mut touched: Vec<Fi> = (per_rank_cells.iter())
+            .flat_map(|s| s.epoch.touched.iter().copied())
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
         let mut samples = Vec::new();
+        let mut talp_samples = Vec::new();
         let mut inst_ns = 0u64;
-        for (f, &(visits, inst)) in merged.iter().enumerate() {
-            if visits == 0 {
-                continue;
-            }
+        for &key in &touched {
+            let f = key as usize;
             let Some(sled) = self.sleds[f] else {
                 continue;
             };
-            inst_ns += inst;
-            let rate = sled.rate.max(1);
-            samples.push(FuncCostSample {
-                id: sled.id,
-                // Under sampling only every N-th invocation is observed;
-                // extrapolate back to the true visit count. Rate 1 is
-                // exact (and byte-identical to the unsampled build).
-                visits: visits * rate as u64,
-                inst_ns: inst,
-                body_cost_ns: self.bindings.func(f as Fi).body_cost_ns,
-                rate,
-            });
-        }
-        let mut talp_samples = Vec::new();
-        for (f, sled) in self.sleds.iter().enumerate() {
-            let Some(sled) = sled else {
-                continue;
-            };
-            let enters: u64 = region_cells.iter().map(|c| c[f].enters).sum();
+            let (visits, inst) = (per_rank_cells.iter())
+                .map(|s| s.epoch.costs[f])
+                .fold((0, 0), |a, c| (a.0 + c.0, a.1 + c.1));
+            if visits != 0 {
+                inst_ns += inst;
+                let rate = sled.rate.max(1);
+                samples.push(FuncCostSample {
+                    id: sled.id,
+                    // Under sampling only every N-th invocation is observed;
+                    // extrapolate back to the true visit count. Rate 1 is
+                    // exact (and byte-identical to the unsampled build).
+                    visits: visits * rate as u64,
+                    inst_ns: inst,
+                    body_cost_ns: self.bindings.func(key).body_cost_ns,
+                    rate,
+                });
+            }
+            let cells = || per_rank_cells.iter().map(|s| &s.epoch.regions.cells[f]);
+            let enters: u64 = cells().map(|c| c.enters).sum();
             if enters == 0 {
                 continue;
             }
-            let mut useful = Vec::with_capacity(ranks);
-            let mut mpi = Vec::with_capacity(ranks);
-            let mut elapsed = 0u64;
-            for cells in &region_cells {
-                let cell = &cells[f];
-                useful.push(cell.span.saturating_sub(cell.mpi));
-                mpi.push(cell.mpi);
-                if cell.first_start != u64::MAX {
-                    elapsed = elapsed.max(cell.last_stop.saturating_sub(cell.first_start));
-                }
-            }
+            let elapsed = cells()
+                .filter(|c| c.first_start != u64::MAX)
+                .map(|c| c.last_stop.saturating_sub(c.first_start))
+                .max()
+                .unwrap_or(0);
             talp_samples.push(RegionCostSample {
                 id: sled.id,
-                name: self.bindings.function(f as Fi).name.clone(),
+                name: self.bindings.function(key).name.clone(),
                 enters,
                 elapsed_ns: elapsed,
-                useful_per_rank: useful,
-                mpi_per_rank: mpi,
+                useful_per_rank: cells().map(|c| c.span.saturating_sub(c.mpi)).collect(),
+                mpi_per_rank: cells().map(|c| c.mpi).collect(),
             });
         }
+        drop(per_rank_cells);
         talp_samples.sort_by_key(|s| s.id.raw());
         if let Some(o) = &self.obs {
             o.tel.set(o.g_events, events);
@@ -725,6 +909,8 @@ fn compute_quiet(b: &Bindings, sleds: &[Option<Sled>]) -> Vec<bool> {
         Quiet,
         Loud,
     }
+    #[cfg(test)]
+    tests::FULL_QUIET_ANALYSES.with(|n| n.set(n.get() + 1));
     let mut state = vec![State::Unknown; sleds.len()];
 
     // Iterative DFS over every function.
@@ -800,72 +986,16 @@ struct EpochSchedule {
     spine: Vec<Fi>,
 }
 
-/// Statically estimates every function's subtree cost in virtual ns
-/// (body + called subtrees; cycles contribute their body only). Used
-/// solely to rank call sites when hunting for the progress loop.
-fn estimate_costs(b: &Bindings) -> Vec<u64> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        Unknown,
-        InProgress,
-        Done,
-    }
-    let mut state = vec![State::Unknown; b.num_functions()];
-    let mut cost = vec![0u64; b.num_functions()];
-    for start in 0..b.num_functions() as u32 {
-        if state[start as usize] != State::Unknown {
-            continue;
-        }
-        let mut stack: Vec<(Fi, bool)> = vec![(start, false)];
-        while let Some((key, children_done)) = stack.pop() {
-            let f = key as usize;
-            if children_done {
-                if state[f] != State::InProgress {
-                    continue;
-                }
-                let mut total = b.func(key).body_cost_ns as u128;
-                for s in b.sites(key) {
-                    let (targets, trips) = (b.targets(s), b.trips(s));
-                    if targets.is_empty() || trips == 0 {
-                        continue;
-                    }
-                    let sum: u128 = targets.iter().map(|&t| cost[t as usize] as u128).sum();
-                    total += trips as u128 * (sum / targets.len() as u128);
-                }
-                cost[f] = total.min(u64::MAX as u128) as u64;
-                state[f] = State::Done;
-                continue;
-            }
-            match state[f] {
-                State::Done => continue,
-                State::InProgress => {
-                    // Cycle: settle for the body cost.
-                    cost[f] = b.func(key).body_cost_ns;
-                    state[f] = State::Done;
-                    continue;
-                }
-                State::Unknown => {}
-            }
-            state[f] = State::InProgress;
-            stack.push((key, true));
-            for &t in b.sites(key).flat_map(|s| b.targets(s)) {
-                if state[t as usize] == State::Unknown {
-                    stack.push((t, false));
-                }
-            }
-        }
-    }
-    cost
-}
-
 /// Builds the epoch schedule: starting at `main`, repeatedly descend
 /// into the call site whose subtree carries the most estimated virtual
-/// time, as long as it is a single-trip wrapper; the first dominant
+/// time ([`Bindings::subtree_costs`], computed once per load state — the
+/// walk itself only visits the spine), as long as it is a single-trip
+/// wrapper; the first dominant
 /// site with ≥ 2 trips becomes the progress loop whose trips are split
 /// across epochs. Everything before the loop runs in epoch 0 and
 /// everything after it in the last epoch, preserving program order.
 fn build_schedule(b: &Bindings, main: Fi) -> EpochSchedule {
-    let est = estimate_costs(b);
+    let est = b.subtree_costs();
     let mut steps = Vec::new();
     let mut spine = Vec::new();
     let mut suffixes: Vec<Vec<Step>> = Vec::new();
@@ -1076,6 +1206,108 @@ impl SamplingState {
             suppressed: 0,
         }
     }
+
+    /// Puts `key`'s cells back to their [`Self::new`] values.
+    fn reset(&mut self, key: Fi) {
+        let f = key as usize;
+        self.seq[f] = 0;
+        self.in_flight[f].clear();
+        self.dur_est[f] = u64::MAX;
+        self.suppress_next[f] = false;
+    }
+}
+
+/// What one rank measures during one epoch run, flat-indexed by key.
+/// Every cell a run writes belongs to a key in `touched`, so the next
+/// epoch resets those and nothing else.
+struct EpochScratch {
+    /// Per-function (visits, instrumentation ns).
+    costs: Vec<(u64, u64)>,
+    /// TALP-style region tracking.
+    regions: RegionTrack,
+    /// Keys with a charge this epoch, in first-touch order…
+    touched: Vec<Fi>,
+    /// …and whether a key is already among them.
+    seen: Vec<bool>,
+}
+
+impl EpochScratch {
+    /// Charges one sled event of `key` — the one way a function's cells
+    /// start to differ from their reset values: every region and
+    /// sampling update rides on an event charged here.
+    ///
+    /// Out of line on purpose: inlined, its `push` (and the grow path
+    /// behind it) lands in `sled_event`, which then stops being inlined
+    /// into the per-call path of plain [`Engine::run`] — 2.5 % of
+    /// `lulesh_events`' wall time, for a run that never charges.
+    #[inline(never)]
+    fn charge(&mut self, key: Fi, visits: u64, inst_ns: u64) {
+        let f = key as usize;
+        if !self.seen[f] {
+            self.seen[f] = true;
+            self.touched.push(key);
+        }
+        let cell = &mut self.costs[f];
+        cell.0 += visits;
+        cell.1 += inst_ns;
+    }
+}
+
+/// One rank's working state, owned by the engine across epochs.
+struct RankScratch {
+    /// World size `memo` was filled under (a rank's imbalance share
+    /// depends on it; the rank itself is the slot index).
+    ranks: u32,
+    /// Quiet-subtree summaries: (duration, nop sled count). A summary
+    /// describes the subtree with every sled dormant, which is the only
+    /// state a quiet subtree is ever in, so no repatch invalidates it.
+    memo: Vec<Option<(u64, u64)>>,
+    epoch: EpochScratch,
+    /// Allocated by the first epoch that samples or suppresses.
+    samp: Option<SamplingState>,
+}
+
+const SCRATCH_POISONED: &str = "a rank thread panicked while holding its scratch";
+
+impl RankScratch {
+    fn new(funcs: usize) -> Self {
+        Self {
+            ranks: 0,
+            memo: vec![None; funcs],
+            epoch: EpochScratch {
+                costs: vec![(0, 0); funcs],
+                regions: RegionTrack::new(funcs),
+                touched: Vec::new(),
+                seen: vec![false; funcs],
+            },
+            samp: None,
+        }
+    }
+
+    /// Readies the scratch for an epoch on a world of `ranks`: undoes
+    /// what the previous epoch touched (also after one that failed).
+    fn begin_epoch(&mut self, ranks: u32, sampling: bool) {
+        if self.ranks != ranks {
+            self.ranks = ranks;
+            self.memo.fill(None);
+        }
+        let epoch = &mut self.epoch;
+        for key in epoch.touched.drain(..) {
+            let f = key as usize;
+            epoch.seen[f] = false;
+            epoch.costs[f] = (0, 0);
+            epoch.regions.cells[f] = RegionCell::new();
+            if let Some(samp) = &mut self.samp {
+                samp.reset(key);
+            }
+        }
+        epoch.regions.open.clear();
+        match &mut self.samp {
+            Some(samp) => (samp.sampled_skips, samp.suppressed) = (0, 0),
+            None if sampling => self.samp = Some(SamplingState::new(self.memo.len())),
+            None => {}
+        }
+    }
 }
 
 /// Is `duration` within `ppm` parts per million of `estimate`?
@@ -1093,18 +1325,15 @@ struct RankRun<'e, 'p> {
     rank: u32,
     ranks: u32,
     /// Quiet-subtree summaries: (duration, nop sled count), flat-indexed.
-    memo: Vec<Option<(u64, u64)>>,
+    memo: &'e mut [Option<(u64, u64)>],
     events: u64,
     nops: u64,
     depth_cutoffs: u64,
-    /// Per-function (visits, instrumentation ns), flat-indexed, tracked
-    /// for epoch runs.
-    costs: Option<Vec<(u64, u64)>>,
-    /// TALP-style region tracking, enabled alongside `costs`.
-    regions: Option<RegionTrack>,
+    /// Per-function costs and region tracking, for epoch runs.
+    epoch: Option<&'e mut EpochScratch>,
     /// Sampling/suppression state; None when everything runs at rate 1
     /// with the band disabled.
-    samp: Option<SamplingState>,
+    samp: Option<&'e mut SamplingState>,
 }
 
 impl RankRun<'_, '_> {
@@ -1170,12 +1399,9 @@ impl RankRun<'_, '_> {
             self.engine.generation,
         )?;
         self.events += 1;
-        if let Some(costs) = &mut self.costs {
-            let cell = &mut costs[key as usize];
-            if kind == EventKind::Entry {
-                cell.0 += 1;
-            }
-            cell.1 += self.engine.model.patched_sled_ns + handler_ns;
+        if let Some(epoch) = &mut self.epoch {
+            let visits = u64::from(kind == EventKind::Entry);
+            epoch.charge(key, visits, self.engine.model.patched_sled_ns + handler_ns);
         }
         Ok(clock + handler_ns)
     }
@@ -1194,8 +1420,8 @@ impl RankRun<'_, '_> {
                     clock = self.sampled_entry(key, id, rate, clock)?;
                 } else {
                     clock = self.sled_event(key, id, EventKind::Entry, clock)?;
-                    if let Some(tr) = &mut self.regions {
-                        tr.start(key, clock);
+                    if let Some(epoch) = &mut self.epoch {
+                        epoch.regions.start(key, clock);
                     }
                 }
             }
@@ -1219,8 +1445,8 @@ impl RankRun<'_, '_> {
                 if rate > 1 || self.engine.redundancy_ppm > 0 {
                     self.sampled_exit(key, id, clock)
                 } else {
-                    if let Some(tr) = &mut self.regions {
-                        tr.stop(key, clock);
+                    if let Some(epoch) = &mut self.epoch {
+                        epoch.regions.stop(key, clock);
                     }
                     self.sled_event(key, id, EventKind::Exit, clock)
                 }
@@ -1248,11 +1474,11 @@ impl RankRun<'_, '_> {
         let rate = u64::from(rate.max(1));
         let entry_clock = clock;
         let mut clock = clock + self.engine.model.patched_sled_ns;
+        // Read only: nothing of `key` is written before its first charge
+        // (a failed dispatch returns with the cells as they were).
         let (seq, suppress_pending) = {
-            let samp = self.samp.as_mut().expect("sampling state");
-            let seq = samp.seq[f];
-            samp.seq[f] += 1;
-            (seq, samp.suppress_next[f])
+            let samp = self.samp.as_ref().expect("sampling state");
+            (samp.seq[f], samp.suppress_next[f])
         };
         // The band only withholds events sampling would have delivered;
         // sampled-out invocations never consult it.
@@ -1273,31 +1499,24 @@ impl RankRun<'_, '_> {
             )? {
                 Some(handler_ns) => {
                     self.events += 1;
-                    if let Some(costs) = &mut self.costs {
-                        let cell = &mut costs[f];
-                        cell.0 += 1;
-                        cell.1 += self.engine.model.patched_sled_ns + handler_ns;
-                    }
                     clock += handler_ns;
-                    if let Some(tr) = &mut self.regions {
-                        tr.start(key, clock);
+                    if let Some(epoch) = &mut self.epoch {
+                        epoch.charge(key, 1, self.engine.model.patched_sled_ns + handler_ns);
+                        epoch.regions.start(key, clock);
                     }
                     EntryDecision::Emitted
                 }
-                None => {
-                    if let Some(costs) = &mut self.costs {
-                        costs[f].1 += self.engine.model.patched_sled_ns;
-                    }
-                    EntryDecision::SampledOut
-                }
+                None => EntryDecision::SampledOut,
             }
         };
-        if suppress {
-            if let Some(costs) = &mut self.costs {
-                costs[f].1 += self.engine.model.patched_sled_ns;
+        if decision != EntryDecision::Emitted {
+            // The trampoline fired all the same.
+            if let Some(epoch) = &mut self.epoch {
+                epoch.charge(key, 0, self.engine.model.patched_sled_ns);
             }
         }
         let samp = self.samp.as_mut().expect("sampling state");
+        samp.seq[f] += 1;
         match decision {
             EntryDecision::SampledOut => samp.sampled_skips += 1,
             EntryDecision::Suppressed => samp.suppressed += 1,
@@ -1335,15 +1554,15 @@ impl RankRun<'_, '_> {
         }
         match decision {
             EntryDecision::Emitted => {
-                if let Some(tr) = &mut self.regions {
-                    tr.stop(key, clock);
+                if let Some(epoch) = &mut self.epoch {
+                    epoch.regions.stop(key, clock);
                 }
                 self.sled_event(key, id, EventKind::Exit, clock)
             }
             EntryDecision::SampledOut | EntryDecision::Suppressed => {
                 let clock = clock + self.engine.model.patched_sled_ns;
-                if let Some(costs) = &mut self.costs {
-                    costs[f].1 += self.engine.model.patched_sled_ns;
+                if let Some(epoch) = &mut self.epoch {
+                    epoch.charge(key, 0, self.engine.model.patched_sled_ns);
                 }
                 let samp = self.samp.as_mut().expect("sampling state");
                 match decision {
@@ -1427,8 +1646,8 @@ impl RankRun<'_, '_> {
     /// every open tracked region (TALP's PMPI interposition).
     fn mpi_op(&mut self, call: MpiCall, clock: u64) -> Result<u64, ExecError> {
         let after = self.world.perform(self.rank, clock, convert_mpi(call))?;
-        if let Some(tr) = &mut self.regions {
-            tr.charge_mpi(after.saturating_sub(clock));
+        if let Some(epoch) = &mut self.epoch {
+            epoch.regions.charge_mpi(after.saturating_sub(clock));
         }
         Ok(after)
     }
@@ -1440,7 +1659,9 @@ mod tests {
     use capi_appmodel::{LinkTarget, ProgramBuilder};
     use capi_mpisim::CostModel;
     use capi_objmodel::{compile, CompileOptions};
-    use capi_xray::{instrument_object, PassOptions, PatchDelta, ShardedLog, TrampolineSet};
+    use capi_xray::{instrument_object, PassOptions, ShardedLog, TrampolineSet};
+    use proptest::prelude::*;
+    use std::cell::Cell;
 
     struct Setup {
         process: Process,
@@ -1885,6 +2106,201 @@ mod tests {
         assert_ne!(after_out, before_out, "the overlay did change");
         // The engine prepared earlier keeps the patch state it saw.
         assert_eq!((patched(&before), patched(&after)), (1, 2));
+    }
+
+    thread_local! {
+        /// Full quiet-subtree analyses (`compute_quiet`) on this thread.
+        pub(super) static FULL_QUIET_ANALYSES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A random small program over two objects: `main` brackets its
+    /// calls with `MPI_Init` / `MPI_Finalize`; `g0..gN` form a DAG (`g_i`
+    /// calls only higher indices, odd ones live in `libg.so`) whose last
+    /// levels may call an MPI stub or a self- or mutually recursive
+    /// function (single-trip, so the depth guard bounds it at 256
+    /// calls).
+    fn random_process(shape: &[(u8, u8, u8)], recursion: u8) -> Setup {
+        let n = shape.len();
+        let target = |i: usize, pick: u8| -> Option<String> {
+            let above = n - i - 1;
+            match pick as usize % (above + 1) {
+                k if k < above => Some(format!("g{}", i + 1 + k)),
+                _ if pick >= 64 => None,
+                _ => Some(
+                    ["MPI_Barrier", "selfrec", "ping", "MPI_Allreduce"][recursion as usize % 4]
+                        .into(),
+                ),
+            }
+        };
+        let mut b = ProgramBuilder::new("rand");
+        fn body(
+            f: capi_appmodel::FunctionBuilder<'_>,
+            cost: u64,
+        ) -> capi_appmodel::FunctionBuilder<'_> {
+            f.statements(40).instructions(300).cost(cost)
+        }
+        b.unit("m.cc", LinkTarget::Executable);
+        let mut main = body(b.function("main").main(), 1_000).calls("MPI_Init", 1);
+        for (i, &(a, _, trips)) in shape.iter().enumerate().take(4) {
+            main = main.calls(
+                &format!("g{}", a as usize % (i + 1)),
+                1 + u64::from(trips % 3),
+            );
+        }
+        main.calls("MPI_Finalize", 1).finish();
+        for (name, call) in [
+            ("MPI_Init", MpiCall::Init),
+            ("MPI_Barrier", MpiCall::Barrier),
+            ("MPI_Allreduce", MpiCall::Allreduce { bytes: 32 }),
+            ("MPI_Finalize", MpiCall::Finalize),
+        ] {
+            (b.function(name).statements(1).instructions(10).cost(0))
+                .mpi(call)
+                .finish();
+        }
+        body(b.function("selfrec"), 7).calls("selfrec", 1).finish();
+        body(b.function("ping"), 5).calls("pong", 1).finish();
+        body(b.function("pong"), 3).calls("ping", 1).finish();
+        for parity in [0, 1] {
+            if parity == 1 {
+                b.unit("g.cc", LinkTarget::Dso("libg.so".into()));
+            }
+            for (i, &(a, c, trips)) in shape.iter().enumerate() {
+                if i % 2 != parity {
+                    continue;
+                }
+                let mut f = body(b.function(&format!("g{i}")), 100 + 37 * i as u64)
+                    .imbalance(u32::from(c % 3) * 10);
+                if let Some(callee) = target(i, a) {
+                    f = f.calls(&callee, 1 + u64::from(trips % 2));
+                }
+                if let Some(callee) = target(i, c).filter(|_| trips & 4 != 0) {
+                    f = f.calls(&callee, 1);
+                }
+                f.finish();
+            }
+        }
+        let bin = compile(&b.build().unwrap(), &CompileOptions::o2()).unwrap();
+        let process = Process::launch_binary(&bin).unwrap();
+        let runtime = XRayRuntime::new();
+        for (index, lo) in process.loaded() {
+            let inst = instrument_object(lo.image.clone(), &PassOptions::instrument_all());
+            if index == 0 {
+                runtime
+                    .register_main(inst, lo, TrampolineSet::absolute())
+                    .unwrap();
+            } else {
+                runtime
+                    .register_dso(inst, lo, index, TrampolineSet::pic())
+                    .unwrap();
+            }
+        }
+        runtime.set_handler(Arc::new(ShardedLog::new(2)));
+        Setup { process, runtime }
+    }
+
+    /// Runs `epochs` epochs back to back on a fresh two-rank world.
+    fn run_epochs(engine: &Engine, epochs: usize) -> Vec<EpochOutcome> {
+        let world = World::new(2, CostModel::default());
+        let mut clocks = vec![0u64; 2];
+        (0..epochs)
+            .map(|index| {
+                let spec = EpochSpec {
+                    index,
+                    total: epochs,
+                };
+                let out = engine.run_epoch(&world, spec, &clocks).unwrap();
+                clocks.clone_from(&out.per_rank_ns);
+                out
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One engine carried through a sequence of repatch batches by
+        /// `apply` — rate-only, sled, mixed, with IDs the runtime skips
+        /// and with an `mprotect` fault cutting a batch short — is, after
+        /// every batch, the engine `prepare` builds from scratch: same
+        /// sleds, quiet flags, generation and schedule, and the same next
+        /// epochs out of scratch that has been through all the earlier
+        /// ones.
+        #[test]
+        fn a_carried_engine_equals_a_freshly_prepared_one(
+            shape in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 3..9),
+            recursion in 0u8..4,
+            ppm in 0u32..2,
+            initially_patched in proptest::collection::vec(any::<u8>(), 0..4),
+            batches in proptest::collection::vec(
+                (proptest::collection::vec((0u8..4, any::<u8>(), 1u32..6), 0..5), 0u8..12),
+                1..8,
+            ),
+        ) {
+            let model = OverheadModel::default();
+            let ppm = ppm * 50_000;
+            let mut s = random_process(&shape, recursion);
+            let ids: Vec<PackedId> = {
+                let e = Engine::prepare(&s.process, &s.runtime, model).unwrap();
+                e.sleds.iter().flatten().map(|sled| sled.id).collect()
+            };
+            let patch = initially_patched.iter().map(|&p| ids[p as usize % ids.len()]).collect();
+            let initial = PatchDelta { patch, ..PatchDelta::default() };
+            s.runtime.repatch(&mut s.process.memory, &initial).unwrap();
+            let mut carried = Engine::prepare(&s.process, &s.runtime, model)
+                .unwrap()
+                .with_redundancy_ppm(ppm);
+            let analyses = FULL_QUIET_ANALYSES.get();
+            for (step, (entries, fault)) in batches.into_iter().enumerate() {
+                let mut delta = PatchDelta::default();
+                for (kind, pick, rate) in entries {
+                    let patched = s.runtime.patched_ids();
+                    let id = match pick {
+                        // IDs the runtime has nothing for.
+                        250.. => PackedId::pack(9, u32::from(pick)).unwrap(),
+                        240..250 => PackedId::pack(0, 10_000 + u32::from(pick)).unwrap(),
+                        // Unpatching mostly hits something patched.
+                        _ if kind == 1 && pick % 4 != 0 && !patched.is_empty() => {
+                            patched[pick as usize % patched.len()]
+                        }
+                        _ => ids[pick as usize % ids.len()],
+                    };
+                    match kind {
+                        0 => delta.patch.push(id),
+                        1 => delta.unpatch.push(id),
+                        2 => delta.set_rate.push((id, rate)),
+                        _ => {
+                            delta.patch.push(id);
+                            delta.set_rate.push((id, rate));
+                        }
+                    }
+                }
+                // The first or second `mprotect` of this batch fails.
+                if fault < 2 {
+                    let next = s.process.memory.stats.mprotect_calls;
+                    s.process.memory.schedule_mprotect_fault(next + u64::from(fault));
+                }
+                match s.runtime.repatch_surviving(&mut s.process.memory, &delta) {
+                    Ok(_) | Err(XRayError::Mem { .. }) => {}
+                    Err(e) => panic!("unexpected repatch failure: {e}"),
+                }
+                carried.apply(&delta);
+                prop_assert_eq!(FULL_QUIET_ANALYSES.get(), analyses, "apply is incremental");
+                let fresh = Engine::prepare(&s.process, &s.runtime, model)
+                    .unwrap()
+                    .with_redundancy_ppm(ppm);
+                FULL_QUIET_ANALYSES.set(analyses);
+                prop_assert!(carried.is_current(&s.process));
+                prop_assert_eq!(carried.generation, fresh.generation);
+                prop_assert_eq!(&carried.sleds, &fresh.sleds);
+                prop_assert_eq!(carried.sampled, fresh.sampled);
+                prop_assert_eq!(&carried.quiet, &fresh.quiet);
+                prop_assert_eq!(carried.spine_sled_ids(), fresh.spine_sled_ids());
+                prop_assert_eq!(carried.epoch_loop_trips(), fresh.epoch_loop_trips());
+                let epochs = 1 + step % 2;
+                prop_assert_eq!(run_epochs(&carried, epochs), run_epochs(&fresh, epochs));
+            }
+        }
     }
 
     #[test]

@@ -36,15 +36,41 @@
 //! boundary, which adaptation must keep patched (their entry/exit
 //! events would otherwise unbalance). Running epochs `0..total` back to
 //! back over one `World` is bit-identical to a monolithic run — except
-//! the caller may repatch sleds and re-`prepare` at every boundary.
+//! the caller may repatch sleds at every boundary.
 //!
-//! **What a `prepare` costs**: call sites are bound to their callees by
-//! [`capi_objmodel::Process::bindings`], once per load state; `prepare`
-//! shares that result and computes only what depends on the patch state
-//! — the snapshot, the per-function sled overlay, the quiet-subtree
-//! analysis and the schedule. Re-preparing at a boundary is therefore
-//! an overlay, and a full rebind happens exactly when a `dlopen` /
-//! `dlclose` changed what is loaded.
+//! **What lives how long.** An adaptive run's cost should follow what
+//! ran and what changed, not the size of the program, so the engine's
+//! state is split by what invalidates it:
+//!
+//! * *Per load state* — the call bindings
+//!   ([`capi_objmodel::Process::bindings`]), the subtree-cost estimate
+//!   the schedule ranks sites by and the reverse call edges (both lazily
+//!   built on the bindings themselves), the schedule, and each rank's
+//!   quiet-subtree memo (a summary describes its subtree with every
+//!   sled dormant — the only state it is read in). Redone only after a
+//!   `dlopen` / `dlclose` / reload.
+//! * *Per patch state* — the per-function sled overlay
+//!   (`patched`, sampling rate), its generation, and the quiet flags.
+//!   [`Engine::prepare`] builds them over every function;
+//!   [`Engine::apply`] brings them up to date after one repatch batch by
+//!   re-reading, from a fresh snapshot, the sleds the batch named and
+//!   moving quiet flags only where a `patched` bit flipped (upwards
+//!   through the callers, never over the whole graph).
+//! * *Per epoch* — each rank's cost, region and sampling cells. The
+//!   engine keeps one scratch set per rank; a rank lists the keys it
+//!   touches, the fold into [`EpochOutcome`] visits those keys in order,
+//!   and the next epoch resets them. The sampling sequence counters and
+//!   duration estimates restart at every epoch, as they always did.
+//!
+//! **When to fall back.** `apply` equals a fresh `prepare` as long as
+//! the batch is the only thing that happened to the runtime since the
+//! engine last looked and the load state is the same. The adaptive loop
+//! applies when the batch's `RepatchReport` carries the generation right
+//! after the engine's, and prepares from scratch whenever
+//! [`Engine::is_current`] says no: the process hands out different
+//! bindings (a lifecycle op, an unload race, a reload) or the runtime is
+//! at a generation the engine has not read. `prepare` is also the
+//! reference `apply` is tested against.
 //!
 //! **Per-epoch measurements**: epoch runs report per-function event
 //! costs ([`FuncCostSample`]) *and* TALP-style per-region efficiency

@@ -10,12 +10,18 @@
 //! builds it lazily and every loader mutation throws it away, so a
 //! consumer that re-reads it after each `dlopen`/`dlclose` can never see
 //! a stale binding and pays the name resolution once per load state.
+//!
+//! Facts that are pure functions of the bindings — the static subtree
+//! cost estimate an executor ranks call sites by, the reverse call edges
+//! an incremental analysis walks — live here too, each built on first
+//! use and dropped with the bindings: once per load state, however many
+//! consumers ask.
 
 use crate::loader::Process;
 use crate::object::{CompiledFunction, Object};
 use capi_appmodel::MpiCall;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Dense function key: functions of the still-mapped objects numbered
 /// consecutively, objects in ascending loader index, functions in layout
@@ -72,6 +78,30 @@ pub struct Bindings {
     /// `(caller, callee name)` references no mapped object provides, in
     /// key / site / target order. They are absent from `targets`.
     unresolved: Vec<(FuncKey, String)>,
+    derived: Derived,
+}
+
+/// Facts computed from the fields above alone, each on first use.
+#[derive(Debug, Default)]
+struct Derived {
+    subtree_costs: OnceLock<Vec<u64>>,
+    callers: OnceLock<Callers>,
+}
+
+impl PartialEq for Derived {
+    /// Pure functions of the fields `Bindings` already compares; built
+    /// or not is not part of a binding's identity.
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// The call edges transposed, in CSR form: callers of key `k` are
+/// `callers[start[k]..start[k + 1]]`.
+#[derive(Debug)]
+struct Callers {
+    start: Vec<u32>,
+    callers: Vec<FuncKey>,
 }
 
 impl Bindings {
@@ -105,6 +135,7 @@ impl Bindings {
             targets: Vec::new(),
             main: key_of("main"),
             unresolved: Vec::new(),
+            derived: Derived::default(),
         };
         for o in &b.objects {
             for (fi, f) in o.image.functions.iter().enumerate() {
@@ -161,8 +192,14 @@ impl Bindings {
     /// The compiled function behind `key` (name, layout, everything the
     /// hot path does not need).
     pub fn function(&self, key: FuncKey) -> &CompiledFunction {
-        let o = &self.objects[self.objects.partition_point(|o| o.base <= key) - 1];
+        let o = self.object_of(key);
         &o.image.functions[(key - o.base) as usize]
+    }
+
+    /// The object `key` belongs to; its function index there is
+    /// `key - base`.
+    pub fn object_of(&self, key: FuncKey) -> &BoundObject {
+        &self.objects[self.objects.partition_point(|o| o.base <= key) - 1]
     }
 
     /// The call sites of `key`, as indices for [`Self::trips`] and
@@ -182,6 +219,103 @@ impl Bindings {
     #[inline]
     pub fn targets(&self, site: usize) -> &[FuncKey] {
         &self.targets[self.target_start[site] as usize..self.target_start[site + 1] as usize]
+    }
+
+    /// The functions calling `key`, ascending, one entry per bound
+    /// call-site target (a caller naming `key` at two sites is listed
+    /// twice). Transposed from the bindings on first use.
+    pub fn callers(&self, key: FuncKey) -> &[FuncKey] {
+        let c = self.derived.callers.get_or_init(|| self.transpose());
+        &c.callers[c.start[key as usize] as usize..c.start[key as usize + 1] as usize]
+    }
+
+    fn transpose(&self) -> Callers {
+        let n = self.num_functions();
+        let mut start = vec![0u32; n + 1];
+        for &t in &self.targets {
+            start[t as usize + 1] += 1;
+        }
+        for k in 0..n {
+            start[k + 1] += start[k];
+        }
+        let mut next = start.clone();
+        let mut callers = vec![0; self.targets.len()];
+        for caller in 0..n as FuncKey {
+            for &t in self.sites(caller).flat_map(|s| self.targets(s)) {
+                callers[next[t as usize] as usize] = caller;
+                next[t as usize] += 1;
+            }
+        }
+        Callers { start, callers }
+    }
+
+    /// Static estimate of every function's subtree cost in virtual ns:
+    /// its body plus, per call site, trips × the mean of the targets'
+    /// subtrees; a function met again on its own call path contributes
+    /// its body only. Saturates at `u64::MAX`. Good for ranking call
+    /// sites against each other (finding a program's dominant loop),
+    /// not for predicting a run. Computed on first use.
+    pub fn subtree_costs(&self) -> &[u64] {
+        self.derived
+            .subtree_costs
+            .get_or_init(|| self.estimate_subtree_costs())
+    }
+
+    fn estimate_subtree_costs(&self) -> Vec<u64> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum State {
+            Unknown,
+            InProgress,
+            Done,
+        }
+        let n = self.num_functions();
+        let mut state = vec![State::Unknown; n];
+        let mut cost = vec![0u64; n];
+        // Iterative post-order DFS from every function not yet costed.
+        for start in 0..n as FuncKey {
+            if state[start as usize] != State::Unknown {
+                continue;
+            }
+            let mut stack: Vec<(FuncKey, bool)> = vec![(start, false)];
+            while let Some((key, children_done)) = stack.pop() {
+                let f = key as usize;
+                if children_done {
+                    if state[f] != State::InProgress {
+                        continue;
+                    }
+                    let mut total = self.func(key).body_cost_ns as u128;
+                    for s in self.sites(key) {
+                        let (targets, trips) = (self.targets(s), self.trips(s));
+                        if targets.is_empty() || trips == 0 {
+                            continue;
+                        }
+                        let sum: u128 = targets.iter().map(|&t| cost[t as usize] as u128).sum();
+                        total += trips as u128 * (sum / targets.len() as u128);
+                    }
+                    cost[f] = total.min(u64::MAX as u128) as u64;
+                    state[f] = State::Done;
+                    continue;
+                }
+                match state[f] {
+                    State::Done => continue,
+                    State::InProgress => {
+                        // Cycle: settle for the body cost.
+                        cost[f] = self.func(key).body_cost_ns;
+                        state[f] = State::Done;
+                        continue;
+                    }
+                    State::Unknown => {}
+                }
+                state[f] = State::InProgress;
+                stack.push((key, true));
+                for &t in self.sites(key).flat_map(|s| self.targets(s)) {
+                    if state[t as usize] == State::Unknown {
+                        stack.push((t, false));
+                    }
+                }
+            }
+        }
+        cost
     }
 }
 
@@ -317,6 +451,16 @@ mod tests {
             }
         }
         assert_eq!(cached.num_functions(), key as usize);
+        // The reverse edges are the forward edges, transposed.
+        let mut forward: Vec<(FuncKey, FuncKey)> = (0..key)
+            .flat_map(|k| cached.sites(k).map(move |s| (k, s)))
+            .flat_map(|(k, s)| cached.targets(s).iter().map(move |&t| (t, k)))
+            .collect();
+        forward.sort_unstable();
+        let reverse: Vec<(FuncKey, FuncKey)> = (0..key)
+            .flat_map(|t| cached.callers(t).iter().map(move |&k| (t, k)))
+            .collect();
+        assert_eq!(reverse, forward);
         assert_eq!(cached.unresolved(), unresolved);
         assert_eq!(cached.main(), expected_key(p, &cached, "main"));
     }
@@ -359,6 +503,34 @@ mod tests {
                 check(&p);
             }
         }
+    }
+
+    #[test]
+    fn derived_facts_are_built_once_per_load_state() {
+        let mut p = launch();
+        let b = Arc::clone(p.bindings());
+        let costs = b.subtree_costs().as_ptr();
+        let callers = b.callers(0).as_ptr();
+        assert_eq!(p.bindings().subtree_costs().as_ptr(), costs);
+        assert_eq!(p.bindings().callers(0).as_ptr(), callers);
+        // `main` (body 10) calls `solve` once, {`tool`, `helper`} twice
+        // (mean of the two) and the unbound `ghost`; `solve` calls `tool`.
+        let cost_of = |name: &str| {
+            let key = (0..b.num_functions() as FuncKey)
+                .find(|&k| b.function(k).name == name && b.main() != Some(k))
+                .unwrap();
+            b.subtree_costs()[key as usize]
+        };
+        let main = b.subtree_costs()[b.main().unwrap() as usize];
+        assert_eq!(
+            main,
+            10 + cost_of("solve") + 2 * ((cost_of("tool") + cost_of("helper")) / 2)
+        );
+        // Built or not, the bindings are the same bindings.
+        assert_eq!(*b, Bindings::build(&p));
+        // A loader mutation drops them with the bindings.
+        p.dlopen(dso(3)).unwrap();
+        assert_ne!(p.bindings().subtree_costs().as_ptr(), costs);
     }
 
     #[test]

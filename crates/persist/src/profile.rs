@@ -14,7 +14,8 @@
 //! benchmarks and the CI round-trip step diff for.
 
 use crate::error::PersistError;
-use serde_json::{json, Value};
+use serde_json::{write_escaped_str, Value};
+use std::fmt::Write as _;
 use std::path::Path;
 
 /// Schema version this build writes.
@@ -154,67 +155,105 @@ impl InstrumentationProfile {
     }
 
     /// Canonical, byte-deterministic JSON text (sorted rows, sorted
-    /// keys, trailing newline). Identical profiles — regardless of the
-    /// order their rows were pushed in — render identically.
+    /// keys, two-space indent, trailing newline). Identical profiles —
+    /// regardless of the order their rows were pushed in — render
+    /// identically.
+    ///
+    /// The text is streamed into one pre-sized `String`: rows are
+    /// sorted by reference and every key is a literal, in the order
+    /// `serde_json`'s `BTreeMap`-backed pretty printer emits them, so
+    /// the bytes are exactly what printing the equivalent `Value` tree
+    /// yields (the tests hold the two equal) at the cost of the bytes
+    /// written, not of a tree node per field.
     pub fn to_json_string(&self) -> String {
-        let mut objects = self.objects.clone();
+        let mut objects: Vec<&ObjectRecord> = self.objects.iter().collect();
         objects.sort_by(|a, b| a.object_id.cmp(&b.object_id).then(a.name.cmp(&b.name)));
-        let mut functions = self.functions.clone();
+        let mut functions: Vec<&FunctionRecord> = self.functions.iter().collect();
         functions.sort_by_key(|f| f.raw_id);
-        let mut efficiency = self.efficiency.clone();
+        let mut efficiency: Vec<&RegionSummary> = self.efficiency.iter().collect();
         efficiency.sort_by_key(|r| r.raw_id);
-        let doc = json!({
-            "kind": PROFILE_KIND,
-            "schema_version": SCHEMA_VERSION,
-            "budget_pct": self.budget_pct,
-            "converged_at": match self.converged_at {
-                Some(e) => json!(e),
-                None => Value::Null,
-            },
-            "epochs_observed": self.epochs_observed,
-            "objects": objects.iter().map(|o| json!({
-                "object_id": o.object_id,
-                "name": o.name,
-                "fingerprint": o.fingerprint,
-            })).collect::<Vec<_>>(),
-            "functions": functions.iter().map(|f| {
-                let mut map = serde_json::Map::new();
-                map.insert("raw_id".to_string(), json!(f.raw_id));
-                map.insert("name".to_string(), json!(f.name));
-                map.insert("active".to_string(), json!(f.active));
-                if f.rate > 1 {
-                    map.insert("rate".to_string(), json!(f.rate));
-                }
-                if let Some(c) = f.inst_ns {
-                    map.insert("inst_ns".to_string(), json!(c));
-                }
-                if let Some(n) = f.visits {
-                    map.insert("visits".to_string(), json!(n));
-                }
-                if let Some(d) = &f.drop {
-                    map.insert(
-                        "drop".to_string(),
-                        json!({
-                            "epoch": d.epoch,
-                            "times_dropped": d.times_dropped,
-                            "policy": d.policy,
-                        }),
-                    );
-                }
-                Value::Object(map)
-            }).collect::<Vec<_>>(),
-            "efficiency": efficiency.iter().map(|r| json!({
-                "raw_id": r.raw_id,
-                "name": r.name,
-                "epoch": r.epoch,
-                "lb_ppm": r.lb_ppm,
-                "comm_ppm": r.comm_ppm,
-                "pe_ppm": r.pe_ppm,
-                "enters": r.enters,
-            })).collect::<Vec<_>>(),
+
+        // Row sizes observed on the 60 k OpenFOAM profile (~170 bytes a
+        // function row with its name, ~150 an efficiency row); an
+        // underestimate only costs a regrow.
+        let mut out = String::with_capacity(
+            256 + 96 * objects.len() + 192 * functions.len() + 176 * efficiency.len(),
+        );
+        // `Number`'s formatting keeps the decimal point on integral
+        // floats and prints a non-finite budget as `null`.
+        let _ = write!(
+            out,
+            "{{\n  \"budget_pct\": {}",
+            serde_json::Number::Float(self.budget_pct)
+        );
+        out.push_str(",\n  \"converged_at\": ");
+        match self.converged_at {
+            Some(e) => push_u64(&mut out, e as u64),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\n  \"efficiency\": ");
+        write_rows(&mut out, &efficiency, |out, r| {
+            out.push_str("\n      \"comm_ppm\": ");
+            push_u64(out, u64::from(r.comm_ppm));
+            out.push_str(",\n      \"enters\": ");
+            push_u64(out, r.enters);
+            out.push_str(",\n      \"epoch\": ");
+            push_u64(out, r.epoch as u64);
+            out.push_str(",\n      \"lb_ppm\": ");
+            push_u64(out, u64::from(r.lb_ppm));
+            out.push_str(",\n      \"name\": ");
+            write_escaped_str(out, &r.name);
+            out.push_str(",\n      \"pe_ppm\": ");
+            push_u64(out, u64::from(r.pe_ppm));
+            out.push_str(",\n      \"raw_id\": ");
+            push_u64(out, u64::from(r.raw_id));
         });
-        let mut out = serde_json::to_string_pretty(&doc).expect("profiles serialize");
-        out.push('\n');
+        out.push_str(",\n  \"epochs_observed\": ");
+        push_u64(&mut out, self.epochs_observed as u64);
+        out.push_str(",\n  \"functions\": ");
+        write_rows(&mut out, &functions, |out, f| {
+            out.push_str("\n      \"active\": ");
+            out.push_str(if f.active { "true" } else { "false" });
+            if let Some(d) = &f.drop {
+                out.push_str(",\n      \"drop\": {\n        \"epoch\": ");
+                push_u64(out, d.epoch as u64);
+                out.push_str(",\n        \"policy\": ");
+                write_escaped_str(out, &d.policy);
+                out.push_str(",\n        \"times_dropped\": ");
+                push_u64(out, u64::from(d.times_dropped));
+                out.push_str("\n      }");
+            }
+            if let Some(c) = f.inst_ns {
+                out.push_str(",\n      \"inst_ns\": ");
+                push_u64(out, c);
+            }
+            out.push_str(",\n      \"name\": ");
+            write_escaped_str(out, &f.name);
+            if f.rate > 1 {
+                out.push_str(",\n      \"rate\": ");
+                push_u64(out, u64::from(f.rate));
+            }
+            out.push_str(",\n      \"raw_id\": ");
+            push_u64(out, u64::from(f.raw_id));
+            if let Some(n) = f.visits {
+                out.push_str(",\n      \"visits\": ");
+                push_u64(out, n);
+            }
+        });
+        out.push_str(",\n  \"kind\": ");
+        write_escaped_str(&mut out, PROFILE_KIND);
+        out.push_str(",\n  \"objects\": ");
+        write_rows(&mut out, &objects, |out, o| {
+            out.push_str("\n      \"fingerprint\": ");
+            push_u64(out, o.fingerprint);
+            out.push_str(",\n      \"name\": ");
+            write_escaped_str(out, &o.name);
+            out.push_str(",\n      \"object_id\": ");
+            push_u64(out, u64::from(o.object_id));
+        });
+        out.push_str(",\n  \"schema_version\": ");
+        push_u64(&mut out, u64::from(SCHEMA_VERSION));
+        out.push_str("\n}\n");
         out
     }
 
@@ -339,28 +378,19 @@ impl InstrumentationProfile {
     /// reader/writer on the same `CAPI_PROFILE_PATH` can observe (or
     /// publish) a torn profile — the previous good file survives until
     /// a complete replacement lands. The temp name carries the process
-    /// ID and a process-wide counter so two savers never share one.
+    /// ID and a process-wide counter so two savers never share one, and
+    /// the temp file is removed whichever step fails (a short write on
+    /// a full disk included).
     pub fn save(&self, path: &Path) -> Result<(), PersistError> {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let io_err = |e: std::io::Error| PersistError::Io {
-            path: path.display().to_string(),
-            reason: e.to_string(),
-        };
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(format!(
             ".{}.{}.tmp",
             std::process::id(),
             SAVE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let tmp = std::path::PathBuf::from(tmp);
-        std::fs::write(&tmp, self.to_json_string()).map_err(io_err)?;
-        std::fs::rename(&tmp, path)
-            .inspect_err(|_| {
-                // Don't leave the orphan behind on a failed publish.
-                std::fs::remove_file(&tmp).ok();
-            })
-            .map_err(io_err)
+        publish_via(Path::new(&tmp), path, &self.to_json_string())
     }
 
     /// Loads and parses a profile from `path`.
@@ -426,6 +456,52 @@ impl InstrumentationProfile {
         span.wall_ns(wall.elapsed().as_nanos() as u64);
         res
     }
+}
+
+/// Writes `text` to `tmp` and renames it onto `path`. Whichever step
+/// fails, `tmp` is removed: a failed write may have created and torn
+/// it, a failed rename leaves it whole but unpublished.
+fn publish_via(tmp: &Path, path: &Path, text: &str) -> Result<(), PersistError> {
+    std::fs::write(tmp, text)
+        .and_then(|()| std::fs::rename(tmp, path))
+        .map_err(|e| {
+            std::fs::remove_file(tmp).ok();
+            PersistError::Io {
+                path: path.display().to_string(),
+                reason: e.to_string(),
+            }
+        })
+}
+
+/// Appends one top-level array of the canonical form: `[]` when empty,
+/// else one `{ … }` per row at four spaces, `fields` writing the row's
+/// `"key": value` lines (each starting with its own newline + indent).
+fn write_rows<T>(out: &mut String, rows: &[&T], fields: impl Fn(&mut String, &T)) {
+    if rows.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str(if i == 0 { "[\n    {" } else { ",\n    {" });
+        fields(out, row);
+        out.push_str("\n    }");
+    }
+    out.push_str("\n  ]");
+}
+
+/// Appends `n` in decimal without going through `fmt`.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 fn req_array<'a>(doc: &'a Value, key: &str) -> Result<&'a Vec<Value>, PersistError> {
@@ -506,6 +582,73 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The rendering `to_json_string` replaced — build the `Value` tree,
+    /// pretty-print it — kept as the oracle the streamed writer is held
+    /// byte-equal to.
+    fn value_tree_text(p: &InstrumentationProfile) -> String {
+        use serde_json::json;
+        let mut objects = p.objects.clone();
+        objects.sort_by(|a, b| a.object_id.cmp(&b.object_id).then(a.name.cmp(&b.name)));
+        let mut functions = p.functions.clone();
+        functions.sort_by_key(|f| f.raw_id);
+        let mut efficiency = p.efficiency.clone();
+        efficiency.sort_by_key(|r| r.raw_id);
+        let doc = json!({
+            "kind": PROFILE_KIND,
+            "schema_version": SCHEMA_VERSION,
+            "budget_pct": p.budget_pct,
+            "converged_at": match p.converged_at {
+                Some(e) => json!(e),
+                None => Value::Null,
+            },
+            "epochs_observed": p.epochs_observed,
+            "objects": objects.iter().map(|o| json!({
+                "object_id": o.object_id,
+                "name": o.name,
+                "fingerprint": o.fingerprint,
+            })).collect::<Vec<_>>(),
+            "functions": functions.iter().map(|f| {
+                let mut map = serde_json::Map::new();
+                map.insert("raw_id".to_string(), json!(f.raw_id));
+                map.insert("name".to_string(), json!(f.name));
+                map.insert("active".to_string(), json!(f.active));
+                if f.rate > 1 {
+                    map.insert("rate".to_string(), json!(f.rate));
+                }
+                if let Some(c) = f.inst_ns {
+                    map.insert("inst_ns".to_string(), json!(c));
+                }
+                if let Some(n) = f.visits {
+                    map.insert("visits".to_string(), json!(n));
+                }
+                if let Some(d) = &f.drop {
+                    map.insert(
+                        "drop".to_string(),
+                        json!({
+                            "epoch": d.epoch,
+                            "times_dropped": d.times_dropped,
+                            "policy": d.policy,
+                        }),
+                    );
+                }
+                Value::Object(map)
+            }).collect::<Vec<_>>(),
+            "efficiency": efficiency.iter().map(|r| json!({
+                "raw_id": r.raw_id,
+                "name": r.name,
+                "epoch": r.epoch,
+                "lb_ppm": r.lb_ppm,
+                "comm_ppm": r.comm_ppm,
+                "pe_ppm": r.pe_ppm,
+                "enters": r.enters,
+            })).collect::<Vec<_>>(),
+        });
+        let mut out = serde_json::to_string_pretty(&doc).expect("profiles serialize");
+        out.push('\n');
+        out
+    }
 
     fn sample_profile() -> InstrumentationProfile {
         InstrumentationProfile {
@@ -712,6 +855,132 @@ mod tests {
             .any(|e| e.file_name().to_string_lossy().ends_with(".tmp"));
         assert!(!leftover_tmp, "no temp files left behind");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A disk-full write: the temp path reaches `/dev/full`, so the file
+    /// opens and the write fails with `ENOSPC` — the failure `save` used
+    /// to answer by leaving the torn temp file beside the good profile.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_write_removes_the_temp_file_and_keeps_the_good_profile() {
+        let dir = std::env::temp_dir().join("capi-persist-short-write-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("profile.json");
+        let good = sample_profile();
+        good.save(&path).unwrap();
+        let tmp = dir.join("profile.json.tmp");
+        std::fs::remove_file(&tmp).ok();
+        std::os::unix::fs::symlink("/dev/full", &tmp).unwrap();
+        let err = publish_via(&tmp, &path, "torn").unwrap_err();
+        assert!(matches!(err, PersistError::Io { .. }), "got {err:?}");
+        assert!(
+            std::fs::symlink_metadata(&tmp).is_err(),
+            "the temp file must not outlive the failed write"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            good.to_json_string()
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Characters a name can carry that the writer must escape or pass
+    /// through: quotes, backslashes, every control-character form, and
+    /// multi-byte UTF-8.
+    const NAME_ALPHABET: [char; 16] = [
+        'a', 'Z', '_', ':', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{08}', '\u{0c}', '\u{01}',
+        'é', '💥',
+    ];
+
+    fn name() -> impl Strategy<Value = String> {
+        proptest::collection::vec(0usize..NAME_ALPHABET.len(), 0..10)
+            .prop_map(|ix| ix.into_iter().map(|i| NAME_ALPHABET[i]).collect())
+    }
+
+    /// `Some` about half the time.
+    fn maybe<T>(flag: bool, value: T) -> Option<T> {
+        flag.then_some(value)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The streamed writer prints the bytes the `Value` tree would,
+        /// and they parse back to the same profile — for hostile names,
+        /// empty tables and every optional-field combination.
+        #[test]
+        fn streamed_text_equals_the_value_tree_and_round_trips(
+            header in (0u32..200_000, any::<bool>(), 0usize..40, 0usize..40),
+            objects in proptest::collection::vec((any::<u8>(), name(), any::<u64>()), 0..4),
+            functions in proptest::collection::vec(
+                ((any::<u32>(), name(), 0u8..64), (1u32..40, any::<u64>()), (0usize..9, 0u32..5, name())),
+                0..8,
+            ),
+            efficiency in proptest::collection::vec(
+                ((any::<u32>(), name()), (0usize..30, any::<u64>()), (0u32..=1_000_000, 0u32..=1_000_000, any::<u32>())),
+                0..5,
+            ),
+        ) {
+            let (budget_milli, converged, at, epochs_observed) = header;
+            let p = InstrumentationProfile {
+                budget_pct: f64::from(budget_milli) / 1000.0,
+                converged_at: maybe(converged, at),
+                epochs_observed,
+                objects: objects
+                    .into_iter()
+                    .map(|(object_id, name, fingerprint)| ObjectRecord { object_id, name, fingerprint })
+                    .collect(),
+                functions: functions
+                    .into_iter()
+                    .map(|((raw_id, name, flags), (rate, n), (epoch, times_dropped, policy))| FunctionRecord {
+                        raw_id,
+                        name,
+                        active: flags & 1 != 0,
+                        rate: if flags & 2 != 0 { rate } else { 1 },
+                        inst_ns: maybe(flags & 4 != 0, n),
+                        visits: maybe(flags & 8 != 0, n / 3),
+                        drop: maybe(flags & 16 != 0, DropState { epoch, times_dropped, policy }),
+                    })
+                    .collect(),
+                efficiency: efficiency
+                    .into_iter()
+                    .map(|((raw_id, name), (epoch, enters), (lb_ppm, comm_ppm, pe_ppm))| RegionSummary {
+                        raw_id,
+                        name,
+                        epoch,
+                        lb_ppm,
+                        comm_ppm,
+                        pe_ppm,
+                        enters,
+                    })
+                    .collect(),
+            };
+            let text = p.to_json_string();
+            prop_assert_eq!(&text, &value_tree_text(&p));
+            // Parsing yields the rows in file order, which is canonical
+            // order (stable sorts, so ties keep their pushed order).
+            let mut canonical = p.clone();
+            canonical
+                .objects
+                .sort_by(|a, b| a.object_id.cmp(&b.object_id).then(a.name.cmp(&b.name)));
+            canonical.functions.sort_by_key(|f| f.raw_id);
+            canonical.efficiency.sort_by_key(|r| r.raw_id);
+            let back = InstrumentationProfile::parse(&text);
+            prop_assert_eq!(back.as_ref(), Ok(&canonical));
+            // The same rows under the v1 header (which has no rates).
+            if canonical.functions.iter().all(|f| f.rate == 1) {
+                let v1 = text.replace("\"schema_version\": 2", "\"schema_version\": 1");
+                prop_assert_eq!(InstrumentationProfile::parse(&v1), Ok(canonical));
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_budget_prints_null_like_the_value_tree() {
+        let mut p = sample_profile();
+        p.budget_pct = f64::NAN;
+        assert!(p.to_json_string().contains("\"budget_pct\": null"));
+        assert_eq!(p.to_json_string(), value_tree_text(&p));
     }
 
     #[test]

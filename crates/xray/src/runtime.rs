@@ -330,8 +330,11 @@ impl XRayRuntime {
         self.generation.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Monotonic counter incremented on every state change; used by the
-    /// executor to invalidate memoized quiet-subtree summaries.
+    /// Monotonic counter incremented on every state change
+    /// (registration, patching, handler). Every [`PatchSnapshot`] and
+    /// [`RepatchReport`] carries the generation it describes, which is
+    /// how a consumer holding derived state (the executor's sled overlay)
+    /// tells whether one batch is all that happened since it last looked.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }

@@ -392,6 +392,70 @@ fn fault_on_a_later_mprotect_reports_and_charges_the_applied_part() {
     assert!(out.adaptive.events > 0, "the run completed");
 }
 
+/// An engine carried over a batch that an `mprotect` fault cut short
+/// must run on what the runtime actually holds, not on what the delta
+/// asked for: here the executable's drop landed, the plugin's did not,
+/// and the rate (installed after the sleds) never was. The next epoch
+/// out of the carried engine equals the one out of an engine prepared
+/// again from scratch.
+#[test]
+fn an_engine_carried_over_a_faulted_batch_runs_like_a_reprepared_one() {
+    use capi_exec::{Engine, EpochSpec, OverheadModel};
+    use capi_xray::{PatchDelta, XRayError};
+    let next_epoch = |carry: bool| {
+        let mut session = capi_dyncapi::startup(
+            &faultable_binary(),
+            capi_dyncapi::DynCapiConfig {
+                tool: capi_dyncapi::ToolChoice::Talp(Default::default()),
+                ranks: 2,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let runtime = Arc::clone(&session.runtime);
+        let id_of = |name: &str| {
+            let mut patched = runtime.patched_ids().into_iter();
+            patched
+                .find(|id| session.symbols.name_of(*id) == Some(name))
+                .unwrap_or_else(|| panic!("`{name}` starts patched"))
+        };
+        let (step, plugin_entry) = (id_of("step"), id_of("plugin_entry"));
+        let delta = PatchDelta {
+            unpatch: vec![step, plugin_entry],
+            set_rate: vec![(id_of("MPI_Allreduce"), 2)],
+            ..PatchDelta::default()
+        };
+        let model = OverheadModel::default();
+        let mut engine = Engine::prepare_lenient(&session.process, &runtime, model).unwrap();
+        let world = World::new(2, CostModel::default());
+        let halves = |index| EpochSpec { index, total: 2 };
+        let first = engine.run_epoch(&world, halves(0), &[0, 0]).unwrap();
+        // The executable's `mprotect` pair completes; the plugin's first
+        // flip is the third call.
+        let memory = &mut session.process.memory;
+        memory.schedule_mprotect_fault(memory.stats.mprotect_calls + 2);
+        let applied = match runtime.repatch_surviving(memory, &delta) {
+            Err(XRayError::Mem { applied, .. }) => applied,
+            other => panic!("the scripted fault must cut the batch short, got {other:?}"),
+        };
+        assert!(applied.sleds_unpatched > 0 && applied.rates_set == 0);
+        assert!(!runtime.is_patched(step) && runtime.is_patched(plugin_entry));
+        if carry {
+            engine.apply(&delta);
+        } else {
+            engine = Engine::prepare_lenient(&session.process, &runtime, model).unwrap();
+        }
+        assert!(engine.is_current(&session.process));
+        let second = engine
+            .run_epoch(&world, halves(1), &first.per_rank_ns)
+            .unwrap();
+        let sampled = |id| second.samples.iter().any(|s| s.id == id);
+        assert!(!sampled(step) && sampled(plugin_entry));
+        second
+    };
+    assert_eq!(next_epoch(true), next_epoch(false));
+}
+
 /// A plan-driven unload race (no script op, just the seeded plan)
 /// closes the most recently loaded DSO between decision and repatch;
 /// the degradation is observable in telemetry and the log.
